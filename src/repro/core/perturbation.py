@@ -74,9 +74,9 @@ def perturb(
     # moves are random (per the paper), so we keep the best state seen in
     # case the walk never satisfies δ exactly.
     best = out.copy()
-    best_imbalance = best.max_imbalance()
+    best_imbalance = imbalance = best.max_imbalance()
     for _ in range(max_rebalance_moves):
-        if out.is_balanced():
+        if imbalance < out.delta:
             return out
         loads = out.loads()
         w_max = int(np.argmax(loads))

@@ -30,6 +30,16 @@ keep ``|(L_w - x) - (L_w' + x)| / max(L_w - x, L_w' + x) < delta``.
 Because non-scope vertices never move, we store ``base[w]`` (vertices on
 ``w`` outside every tracked scope); ``|V(w)| = base[w] + U[w]`` with ``U``
 the union mass per worker.
+
+The per-worker column masses ``U = union.sum(axis=0)`` and
+``W = weighted.sum(axis=0)`` and the loads ``L`` are kept incrementally:
+``apply_move`` adjusts the two touched columns and recomputes their loads
+from ``base``, so every balance query costs O(k) instead of a reduction
+over the units x k matrices.  Fragment masses are integers, so the column
+masses are exact integer-valued floats and each load is bit-identical to
+``(base + union.sum(0) + weighted.sum(0)) / 2``.  The k-vectors are plain
+lists of floats: a move touches two entries, and scalar numpy access would
+cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -129,21 +139,23 @@ class QcutState:
             self.unit_keys.setdefault(frag.unit, []).append(key)
             self.union[frag.unit, frag.origin_worker] += frag.union_size
             self.weighted[frag.unit, frag.origin_worker] += frag.weighted_size
+        #: per-worker union mass ``U[w]`` (exact: integer-valued floats)
+        self.union_mass: List[float] = self.union.sum(axis=0).tolist()
+        #: per-worker query-weighted mass ``W[w]``
+        self.weighted_mass: List[float] = self.weighted.sum(axis=0).tolist()
+        self._base: List[float] = self.base.tolist()
+        #: per-worker load ``L_w``, recomputed from ``base`` on every move
+        self._loads: List[float] = [
+            (b + u + w) / 2.0
+            for b, u, w in zip(self._base, self.union_mass, self.weighted_mass)
+        ]
 
     # ------------------------------------------------------------------
     # load / balance
     # ------------------------------------------------------------------
-    def scope_mass(self) -> np.ndarray:
-        """Query-weighted scope mass ``sum_q |LS(q, w)|`` per worker."""
-        return self.weighted.sum(axis=0)
-
-    def vertex_counts(self) -> np.ndarray:
-        """``|V(w)| = base[w] + union mass``."""
-        return self.base + self.union.sum(axis=0)
-
     def loads(self) -> np.ndarray:
-        """``L_w = (|V(w)| + sum_q |LS(q, w)|) / 2`` (Appendix A.1)."""
-        return (self.vertex_counts() + self.scope_mass()) / 2.0
+        """``L_w = (|V(w)| + sum_q |LS(q, w)|) / 2`` (Appendix A.1), a copy."""
+        return np.array(self._loads)
 
     def move_load(self, unit: int, worker: int) -> float:
         """Load change a move of this unit-worker mass would cause."""
@@ -151,7 +163,7 @@ class QcutState:
 
     def pair_balance_ok(self, w_from: int, w_to: int, x: float) -> bool:
         """Algorithm 2 line 15: balance check for moving load ``x``."""
-        loads = self.loads()
+        loads = self._loads
         lf = loads[w_from] - x
         lt = loads[w_to] + x
         top = abs(lf - lt)
@@ -162,10 +174,8 @@ class QcutState:
 
     def max_imbalance(self) -> float:
         """Worst pairwise imbalance ``|L_w - L_w'| / max(...)`` of the state."""
-        loads = self.loads()
-        top = loads.max() - loads.min()
-        bottom = loads.max()
-        return float(top / bottom) if bottom > 0 else 0.0
+        top = max(self._loads)
+        return (top - min(self._loads)) / top if top > 0 else 0.0
 
     def is_balanced(self) -> bool:
         """Whether every worker pair satisfies the δ constraint."""
@@ -198,8 +208,8 @@ class QcutState:
         """Move all of ``unit``'s scope mass on ``w_from`` to ``w_to``."""
         if w_from == w_to:
             raise ControllerError("move source equals destination")
-        xu = self.union[unit, w_from]
-        xw = self.weighted[unit, w_from]
+        xu = float(self.union[unit, w_from])
+        xw = float(self.weighted[unit, w_from])
         if xw <= 0:
             raise ControllerError(
                 f"unit {unit} has no scope mass on worker {w_from}"
@@ -208,6 +218,13 @@ class QcutState:
         self.union[unit, w_to] += xu
         self.weighted[unit, w_from] = 0.0
         self.weighted[unit, w_to] += xw
+        um, wm = self.union_mass, self.weighted_mass
+        um[w_from] -= xu
+        um[w_to] += xu
+        wm[w_from] -= xw
+        wm[w_to] += xw
+        for w in (w_from, w_to):
+            self._loads[w] = (self._base[w] + um[w] + wm[w]) / 2.0
         for key in self.unit_keys.get(unit, ()):
             if self.placement[key] == w_from:
                 self.placement[key] = w_to
@@ -224,6 +241,10 @@ class QcutState:
         clone.base = self.base  # immutable by convention
         clone.weighted = self.weighted.copy()
         clone.union = self.union.copy()
+        clone.union_mass = list(self.union_mass)
+        clone.weighted_mass = list(self.weighted_mass)
+        clone._base = self._base  # immutable by convention
+        clone._loads = list(self._loads)
         clone.placement = dict(self.placement)
         clone.fragment_sizes = self.fragment_sizes  # immutable by convention
         clone.unit_keys = self.unit_keys  # immutable by convention

@@ -19,6 +19,8 @@ from repro.queries import SsspProgram
 from repro.simulation.cluster import make_cluster
 from repro.simulation.network import NetworkModel
 
+from qcut_reference import reference_clone, reference_loads, reference_max_imbalance
+
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
@@ -140,6 +142,57 @@ class TestQcutStateProperties:
             rebuilt_u[unit, current] += union
         assert np.allclose(rebuilt_w, out.weighted)
         assert np.allclose(rebuilt_u, out.union)
+
+
+def random_move(state, data):
+    """Draw a legal ``apply_move`` of ``state`` (unit, source, destination)."""
+    unit = data.draw(st.integers(0, state.num_units - 1))
+    src = data.draw(st.sampled_from(np.flatnonzero(state.weighted[unit] > 0).tolist()))
+    dst = (src + data.draw(st.integers(1, state.num_workers - 1))) % state.num_workers
+    return unit, src, dst
+
+
+class TestIncrementalLoads:
+    """The incremental loads equal the re-summing oracle exactly."""
+
+    @given(qcut_states(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_loads_match_oracle_after_moves_and_copies(self, state, data):
+        assert np.array_equal(state.loads(), reference_loads(state))
+        for _ in range(data.draw(st.integers(0, 30))):
+            if data.draw(st.booleans()):
+                state = state.copy()
+            else:
+                state.apply_move(*random_move(state, data))
+            assert np.array_equal(state.loads(), reference_loads(state))
+            assert state.max_imbalance() == reference_max_imbalance(state)
+            assert state.is_balanced() == (reference_max_imbalance(state) < state.delta)
+            w_from, w_to = data.draw(
+                st.lists(st.integers(0, state.num_workers - 1), min_size=2, max_size=2)
+            )
+            x = data.draw(st.floats(min_value=0.0, max_value=60.0))
+            assert state.pair_balance_ok(w_from, w_to, x) == reference_clone(
+                state
+            ).pair_balance_ok(w_from, w_to, x)
+
+    @given(qcut_states(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_move_on_clone_leaves_original(self, state, data):
+        before = state.loads()
+        clone = state.copy()
+        for _ in range(data.draw(st.integers(1, 10))):
+            clone.apply_move(*random_move(clone, data))
+        assert np.array_equal(state.loads(), before)
+        assert np.array_equal(state.loads(), reference_loads(state))
+        assert np.array_equal(clone.loads(), reference_loads(clone))
+
+    @given(qcut_states())
+    @settings(max_examples=30, deadline=None)
+    def test_writing_returned_loads_does_not_corrupt(self, state):
+        loads = state.loads()
+        loads[:] = -1.0
+        assert np.array_equal(state.loads(), reference_loads(state))
+        assert state.max_imbalance() == reference_max_imbalance(state)
 
 
 # ----------------------------------------------------------------------
