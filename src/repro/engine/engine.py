@@ -216,8 +216,15 @@ class QGraphEngine:
             raise EngineError("assignment shape does not match graph")
         if assignment.size and assignment.max() >= cluster.num_workers:
             raise EngineError("assignment references worker beyond cluster size")
+        if assignment.size and assignment.min() < 0:
+            raise EngineError("assignment leaves vertices without a worker (id < 0)")
         self.graph = graph
         self.cluster = cluster
+        #: ``cluster.link(a, b)`` for every worker pair, row ``a`` per sender
+        self._link_rows: List[List[NetworkModel]] = [
+            [cluster.link(a, b) for b in range(cluster.num_workers)]
+            for a in range(cluster.num_workers)
+        ]
         self.assignment = assignment.copy()
         self.config = config or EngineConfig()
         if self.config.repartition_mode not in ("global", "partial"):
@@ -432,12 +439,10 @@ class QGraphEngine:
         the engine draws no fault randomness at all, keeping fault-free
         runs bit-identical to builds that predate the fault layer.
         """
-        k = self.cluster.num_workers
-        for src in range(k):
-            for dst in range(k):
+        for src, row in enumerate(self._link_rows):
+            for dst, link in enumerate(row):
                 if src == dst:
                     continue
-                link = self.cluster.link(src, dst)
                 if link.drop_probability > 0.0 or link.duplicate_probability > 0.0:
                     return True
         return False
@@ -490,9 +495,9 @@ class QGraphEngine:
         return delay
 
     def _faulty_transfer(
-        self, link: NetworkModel, count: int, arrival: float
+        self, link: NetworkModel, count: int, batches: int, arrival: float
     ) -> float:
-        """Arrival time of a vertex-message batch train under link faults.
+        """Arrival time of a ``batches``-batch message train under link faults.
 
         Reliable transport: a dropped batch is retransmitted after one
         link round-trip plus its transfer time (content is never lost, so
@@ -515,7 +520,6 @@ class QGraphEngine:
         )
         if p_drop <= 0.0 and p_dup <= 0.0:
             return arrival
-        batches = link.num_batches(count)
         per_batch = -(-count // batches) if batches else count
         for _batch in range(batches):
             if p_drop > 0.0:
@@ -825,10 +829,11 @@ class QGraphEngine:
             self.sanitizer.check_compute_allowed(qr.query.query_id, worker, now)
         qr.computed.add(worker)
         w = self.workers[worker]
+        links = self._link_rows[worker]
         result = w.execute_iteration(qr, self.graph, self.assignment)
         duration = w.compute_duration(
             result,
-            lambda dest, count: self.cluster.link(worker, dest).serialize_time(count),
+            lambda dest, count: links[dest].serialize_time(count),
             deserialize_time=self.cluster.intra_node.deserialize_time(
                 result.remote_inbound
             ),
@@ -840,13 +845,14 @@ class QGraphEngine:
             self.trace.vertices_executed(worker, start, result.executed_vertices)
         self.trace.local_messages += result.local_messages
         for dest, count in result.remote_messages.items():
-            link = self.cluster.link(worker, dest)
-            arrival = finish + link.transfer_time(count)
+            link = links[dest]
+            wire_time, batches = link.transfer(count)
+            arrival = finish + wire_time
             if self.faults is not None:
-                arrival = self._faulty_transfer(link, count, arrival)
+                arrival = self._faulty_transfer(link, count, batches, arrival)
             qr.inbox_ready[dest] = max(qr.inbox_ready.get(dest, 0.0), arrival)
             self.trace.remote_messages += count
-            self.trace.remote_batches += link.num_batches(count)
+            self.trace.remote_batches += batches
         if result.activated:
             self._activated.setdefault(qr.query.query_id, []).extend(result.activated)
         self.queue.schedule(
@@ -1430,7 +1436,7 @@ class QGraphEngine:
             )
         duration = 0.0
         for (src, dst), payload in link_payloads.items():
-            link = self.cluster.link(src, dst)
+            link = self._link_rows[src][dst]
             duration = max(duration, link.latency + payload / link.bandwidth)
         for qr in self.runtimes.values():
             if not qr.finished:

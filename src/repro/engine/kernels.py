@@ -59,13 +59,20 @@ _INT_UNSET = np.iinfo(np.int64).max
 def combine_by_vertex(
     vertices: np.ndarray, messages: np.ndarray, combine: np.ufunc
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate targets: unique sorted vertices, combined messages."""
-    if vertices.size == 0:
+    """Collapse duplicate targets: unique sorted vertices, combined messages.
+
+    ``combine`` must keep the message dtype (as every kernel combiner
+    does): a frontier of at most one vertex is returned as is.
+    """
+    if vertices.size <= 1:
         return vertices, messages
     order = np.argsort(vertices, kind="stable")
     sv = vertices[order]
     sm = messages[order]
-    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    run_start = np.empty(sv.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sv[1:], sv[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
     return sv[starts], combine.reduceat(sm, starts)
 
 
@@ -85,19 +92,29 @@ def contribute_partial(agg_partial: Dict[str, Any], name: str, value: Any) -> No
 def group_by_owner(
     assignment: np.ndarray, vertices: np.ndarray, messages: np.ndarray
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(owner, vertex_chunk, message_chunk)`` grouped by owning worker."""
+    """Yield ``(owner, vertex_chunk, message_chunk)`` grouped by owning worker.
+
+    Owners come out in ascending order; within a chunk, targets keep their
+    input order.  ``assignment`` must hold non-negative worker ids (the
+    engine rejects any other).  When one worker owns every target, the
+    input arrays are yielded as they are.
+    """
     if vertices.size == 0:
         return
     owners = assignment[vertices]
+    counts = np.bincount(owners)
+    # the last bin is the largest owner; holding every target, it is the only one
+    if counts[-1] == vertices.size:
+        yield counts.size - 1, vertices, messages
+        return
     order = np.argsort(owners, kind="stable")
-    ov = owners[order]
     sv = vertices[order]
     sm = messages[order]
-    starts = np.flatnonzero(np.r_[True, ov[1:] != ov[:-1]])
-    bounds = np.r_[starts, ov.size]
-    for i in range(starts.size):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        yield int(ov[lo]), sv[lo:hi], sm[lo:hi]
+    lo = 0
+    for owner, hi in enumerate(np.cumsum(counts).tolist()):
+        if hi > lo:
+            yield owner, sv[lo:hi], sm[lo:hi]
+            lo = hi
 
 
 def expand_edges(indptr: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -9,17 +9,17 @@ maximum of 32 vertex messages per batch and 32 kilobytes batch size").
 :class:`NetworkModel` captures these four knobs; the engine charges
 
 * ``serialize_time(n)``   — CPU time on the *sender* for packing n messages,
-* ``transfer_time(n)``    — wire time for a batch of n messages
+* ``transfer(n)``         — wire time for a train of n messages
   (per-batch latency + bytes / bandwidth, with the batch split according to
-  the 32-message / 32-kB policy), and
+  the 32-message / 32-kB policy) and its batch count, and
 * ``control_latency``     — one-way latency of a small control message
   (barrier ack / release, stats).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 __all__ = ["NetworkModel", "loopback_tcp", "ethernet_1g", "zero_cost"]
 
@@ -70,6 +70,8 @@ class NetworkModel:
     #: detects and discards the duplicate, paying wire + dedup cost only)
     duplicate_probability: float = 0.0
     name: str = "custom"
+    #: messages per wire batch, derived from the batching limits
+    _per_batch: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.latency < 0 or self.bandwidth <= 0:
@@ -80,35 +82,41 @@ class NetworkModel:
             raise ValueError("drop_probability must be in [0, 1)")
         if not 0.0 <= self.duplicate_probability < 1.0:
             raise ValueError("duplicate_probability must be in [0, 1)")
+        object.__setattr__(
+            self,
+            "_per_batch",
+            min(self.batch_messages, max(self.batch_bytes // self.message_bytes, 1)),
+        )
 
     # ------------------------------------------------------------------
     def num_batches(self, num_messages: int) -> int:
         """How many wire batches ``num_messages`` vertex messages need."""
         if num_messages <= 0:
             return 0
-        per_batch = min(
-            self.batch_messages, max(self.batch_bytes // self.message_bytes, 1)
-        )
-        return math.ceil(num_messages / per_batch)
+        return -(-num_messages // self._per_batch)
 
     def serialize_time(self, num_messages: int) -> float:
         """Sender-side CPU seconds to pack ``num_messages`` messages."""
         return self.serialize_per_message * max(num_messages, 0)
 
-    def transfer_time(self, num_messages: int) -> float:
-        """Wire seconds for ``num_messages`` messages.
+    def transfer(self, num_messages: int) -> Tuple[float, int]:
+        """Wire seconds and batch count of a train of ``num_messages`` messages.
 
         One propagation latency for the (pipelined) stream, a per-batch
         stack-traversal overhead, and the payload at line rate.
         """
         if num_messages <= 0:
-            return 0.0
+            return 0.0, 0
+        batches = self.num_batches(num_messages)
         payload = num_messages * self.message_bytes
         return (
-            self.latency
-            + self.num_batches(num_messages) * self.batch_overhead
-            + payload / self.bandwidth
+            self.latency + batches * self.batch_overhead + payload / self.bandwidth,
+            batches,
         )
+
+    def transfer_time(self, num_messages: int) -> float:
+        """Wire seconds for ``num_messages`` messages (see :meth:`transfer`)."""
+        return self.transfer(num_messages)[0]
 
     def deserialize_time(self, num_messages: int) -> float:
         """Receiver-side CPU seconds to unpack ``num_messages`` messages."""

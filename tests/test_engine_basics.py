@@ -94,6 +94,15 @@ class TestLifecycle:
                 g, make_cluster("M2", 2), np.full(9, 7, dtype=np.int64)
             )
 
+    def test_unassigned_vertex_rejected(self):
+        # -1 is the partitioners' "unassigned" fill; negative indexing
+        # would silently route such a vertex to the last worker
+        g = grid_graph(3, 3)
+        assignment = np.zeros(9, dtype=np.int64)
+        assignment[4] = -1
+        with pytest.raises(EngineError, match="without a worker"):
+            QGraphEngine(g, make_cluster("M2", 2), assignment)
+
 
 class TestCorrectnessAcrossModes:
     @pytest.mark.parametrize(

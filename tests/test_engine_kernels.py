@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kernels_reference import reference_combine_by_vertex, reference_group_by_owner
 
 from repro.core import Controller
 from repro.engine import (
@@ -171,6 +174,105 @@ class TestFallback:
         qr = eng.runtimes[0]
         assert qr.state[0] == 0.0
         assert len(qr.state) == eng.query_result(0)["settled"]
+
+
+#: the message dtypes the kernels send, each with its kernels' combiners
+_MESSAGE_KINDS = (
+    (np.int64, (np.minimum,)),
+    (np.float64, (np.minimum, np.add)),
+    (np.bool_, (np.logical_or,)),
+)
+
+
+def _messages(values, dtype):
+    if dtype is np.bool_:
+        return np.array([v % 2 == 1 for v in values], dtype=bool)
+    if dtype is np.float64:
+        return np.array(values, dtype=np.float64) / 4.0
+    return np.array(values, dtype=np.int64)
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _assert_routes_like_reference(assignment, vertices, messages):
+    got = list(group_by_owner(assignment, vertices, messages))
+    want = list(reference_group_by_owner(assignment, vertices, messages))
+    assert [owner for owner, _, _ in got] == [owner for owner, _, _ in want]
+    for (owner, gv, gm), (_, wv, wm) in zip(got, want):
+        assert type(owner) is int
+        _assert_same_arrays(gv, wv)
+        _assert_same_arrays(gm, wm)
+
+
+def _assert_combines_like_reference(vertices, messages, combine):
+    gv, gm = combine_by_vertex(vertices, messages, combine)
+    wv, wm = reference_combine_by_vertex(vertices, messages, combine)
+    _assert_same_arrays(gv, wv)
+    _assert_same_arrays(gm, wm)
+
+
+@st.composite
+def _routing_cases(draw):
+    """An assignment over gapped worker ids, a frontier into it, messages."""
+    workers = draw(
+        st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True)
+    )
+    assignment = np.array(
+        draw(st.lists(st.sampled_from(workers), min_size=1, max_size=30)),
+        dtype=np.int64,
+    )
+    vertices = np.array(
+        draw(st.lists(st.integers(0, assignment.size - 1), max_size=40)),
+        dtype=np.int64,
+    )
+    dtype, combiners = draw(st.sampled_from(_MESSAGE_KINDS))
+    values = draw(
+        st.lists(st.integers(-50, 50), min_size=vertices.size, max_size=vertices.size)
+    )
+    combine = draw(st.sampled_from(combiners))
+    return assignment, vertices, _messages(values, dtype), combine
+
+
+class TestRoutingMatchesReference:
+    """``group_by_owner`` / ``combine_by_vertex`` against the np.r_ oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_routing_cases())
+    def test_group_by_owner(self, case):
+        assignment, vertices, messages, _combine = case
+        _assert_routes_like_reference(assignment, vertices, messages)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_routing_cases())
+    def test_combine_by_vertex(self, case):
+        _assignment, vertices, messages, combine = case
+        _assert_combines_like_reference(vertices, messages, combine)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [],  # empty frontier
+            [5],  # single element
+            [2, 4, 2],  # single owner (worker 3)
+            [1, 7, 3, 6, 5, 1, 2],  # owners 0, 3, 9, 10: ids with gaps
+            [6, 6, 6, 6],  # all-duplicate targets
+        ],
+        ids=["empty", "single", "single-owner", "gapped-owners", "all-duplicates"],
+    )
+    @pytest.mark.parametrize(
+        "dtype,combine",
+        [(d, c) for d, combiners in _MESSAGE_KINDS for c in combiners],
+        ids=lambda p: getattr(p, "__name__", None),
+    )
+    def test_edge_cases(self, vertices, dtype, combine):
+        assignment = np.array([0, 9, 3, 10, 3, 0, 10, 9], dtype=np.int64)
+        v = np.array(vertices, dtype=np.int64)
+        m = _messages(list(range(3, 3 + v.size)), dtype)
+        _assert_routes_like_reference(assignment, v, m)
+        _assert_combines_like_reference(v, m, combine)
 
 
 class TestKernelPrimitives:

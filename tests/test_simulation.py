@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simulation import (
     ClusterSpec,
+    Event,
     EventQueue,
     MetricsTrace,
     NetworkModel,
@@ -108,6 +109,29 @@ class TestEventQueue:
         q = EventQueue()
         q.schedule(1.0, "x", foo=42)
         assert q.pop().payload == {"foo": 42}
+
+    def test_cancelled_head_with_equal_time_ties(self):
+        q = EventQueue()
+        head = q.schedule(1.0, "head")
+        tie_a = q.schedule(1.0, "tie_a")
+        tie_b = q.schedule(1.0, "tie_b")
+        tie_c = q.schedule(1.0, "tie_c")
+        later = q.schedule(2.0, "later")
+        q.cancel(head)
+        assert len(q) == 4
+        assert q.peek_time() == 1.0  # drops the cancelled head
+        assert len(q) == 4
+        assert q.pop() is tie_a
+        q.cancel(tie_b)  # the new head, tied with the next event
+        assert len(q) == 2
+        assert q.peek_time() == 1.0
+        event = q.pop()
+        assert event is tie_c
+        assert isinstance(event, Event) and (event.time, event.kind) == (1.0, "tie_c")
+        assert q.now == 1.0 and len(q) == 1
+        assert q.peek_time() == 2.0
+        assert q.pop() is later
+        assert q.peek_time() is None and q.pop() is None and len(q) == 0
 
 
 class TestNetworkModel:
