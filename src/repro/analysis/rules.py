@@ -249,7 +249,7 @@ class WallClockRule(Rule):
 _NDARRAY_MUTATORS = frozenset(
     {"fill", "sort", "put", "resize", "partition", "itemset", "byteswap", "setfield"}
 )
-_CSR_FIELDS = frozenset({"indptr", "indices", "weights"})
+_CSR_FIELDS = frozenset({"indptr", "indices", "weights", "degree"})
 
 
 class _CsrScopeVisitor(ast.NodeVisitor):

@@ -203,7 +203,9 @@ class ScopeStore:
         Filters both the consolidated sorted arrays and the per-query
         pending activation buffers, so a dead id can survive in neither
         representation; the flat incidence view is invalidated when
-        anything changed.
+        anything changed.  All arrays and chunks are tested in one
+        membership pass over their concatenation, and only the ones that
+        hold a dead id are rebuilt.
         """
         if isinstance(vertices, np.ndarray):
             dead = np.unique(vertices.astype(np.int64, copy=False))
@@ -211,28 +213,36 @@ class ScopeStore:
             dead = np.unique(np.asarray(list(vertices), dtype=np.int64))
         if dead.size == 0:
             return
-        changed = False
+        # parts in a fixed order: the consolidated arrays, then each
+        # query's pending chunks; the loops below walk the same order
+        parts = list(self._arrays.values())
+        for chunks in self._pending.values():
+            parts.extend(chunks)
+        bounds = np.cumsum([0] + [part.size for part in parts])
+        if bounds[-1] == 0:
+            return
+        hit = np.isin(np.concatenate(parts), dead)
+        if not hit.any():
+            return
+        hits_before = np.concatenate(([0], np.cumsum(hit)))
+        hit_parts = np.diff(hits_before[bounds]).tolist()
+        cut = bounds.tolist()
+        keep = ~hit
+        i = 0
         for qid, arr in self._arrays.items():
-            if arr.size == 0:
-                continue
-            # arr is sorted and duplicate-free: membership via searchsorted
-            pos = np.searchsorted(dead, arr)
-            hit = (pos < dead.size) & (dead[np.minimum(pos, dead.size - 1)] == arr)
-            if hit.any():
-                self._arrays[qid] = arr[~hit]
-                changed = True
+            if hit_parts[i]:
+                self._arrays[qid] = arr[keep[cut[i] : cut[i + 1]]]
+            i += 1
         for qid, chunks in self._pending.items():
             fresh_chunks = []
             for chunk in chunks:
-                keep = ~np.isin(chunk, dead)
-                if not keep.all():
-                    chunk = chunk[keep]
-                    changed = True
+                if hit_parts[i]:
+                    chunk = chunk[keep[cut[i] : cut[i + 1]]]
                 if chunk.size:
                     fresh_chunks.append(chunk)
+                i += 1
             self._pending[qid] = fresh_chunks
-        if changed:
-            self._flat = None
+        self._flat = None
 
     # ------------------------------------------------------------------
     # per-query access

@@ -225,6 +225,11 @@ class QGraphEngine:
             [cluster.link(a, b) for b in range(cluster.num_workers)]
             for a in range(cluster.num_workers)
         ]
+        #: one-way control-message latency between each worker and the controller
+        self._ctrl_latencies: List[float] = [
+            cluster.controller_link(w).control_latency
+            for w in range(cluster.num_workers)
+        ]
         self.assignment = assignment.copy()
         self.config = config or EngineConfig()
         if self.config.repartition_mode not in ("global", "partial"):
@@ -426,7 +431,7 @@ class QGraphEngine:
     # helpers
     # ------------------------------------------------------------------
     def _ctrl_latency(self, worker: int) -> float:
-        return self.cluster.controller_link(worker).control_latency
+        return self._ctrl_latencies[worker]
 
     def _dispatch_cost(self) -> float:
         return self.cluster.machine.controller_dispatch_time
@@ -833,7 +838,7 @@ class QGraphEngine:
         result = w.execute_iteration(qr, self.graph, self.assignment)
         duration = w.compute_duration(
             result,
-            lambda dest, count: links[dest].serialize_time(count),
+            links,
             deserialize_time=self.cluster.intra_node.deserialize_time(
                 result.remote_inbound
             ),
@@ -841,18 +846,34 @@ class QGraphEngine:
         start, finish = w.occupy(now, duration)
         self._outstanding += 1
         self._inflight_add(qr.query.query_id, worker)
+        trace = self.trace
         if result.executed_vertices:
-            self.trace.vertices_executed(worker, start, result.executed_vertices)
-        self.trace.local_messages += result.local_messages
-        for dest, count in result.remote_messages.items():
-            link = links[dest]
-            wire_time, batches = link.transfer(count)
-            arrival = finish + wire_time
-            if self.faults is not None:
-                arrival = self._faulty_transfer(link, count, batches, arrival)
-            qr.inbox_ready[dest] = max(qr.inbox_ready.get(dest, 0.0), arrival)
-            self.trace.remote_messages += count
-            self.trace.remote_batches += batches
+            trace.vertices_executed(worker, start, result.executed_vertices)
+        trace.local_messages += result.local_messages
+        remote = result.remote_messages
+        if remote:
+            # one pass per destination: the receiver's inbound count, the
+            # wire train, the inbox-ready time and the trace counters (the
+            # runtime's dicts are written through ``qr`` so the state
+            # analysis sees each store)
+            faults = self.faults
+            sent = batches_sent = 0
+            for dest, count in remote.items():
+                qr.pending_remote_inbound[dest] = (
+                    qr.pending_remote_inbound.get(dest, 0) + count
+                )
+                link = links[dest]
+                wire_time, batches = link.transfer(count)
+                arrival = finish + wire_time
+                if faults is not None:
+                    arrival = self._faulty_transfer(link, count, batches, arrival)
+                ready = qr.inbox_ready.get(dest)
+                if ready is None or arrival > ready:
+                    qr.inbox_ready[dest] = arrival
+                sent += count
+                batches_sent += batches
+            trace.remote_messages += sent
+            trace.remote_batches += batches_sent
         if result.activated:
             self._activated.setdefault(qr.query.query_id, []).extend(result.activated)
         self.queue.schedule(
@@ -860,7 +881,7 @@ class QGraphEngine:
             "compute_done",
             query_id=qr.query.query_id,
             worker=worker,
-            had_remote=bool(result.remote_messages),
+            had_remote=bool(remote),
         )
 
     # ------------------------------------------------------------------

@@ -28,12 +28,12 @@ user programs keep working unchanged.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import EngineError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import CSRView, DiGraph
 
 __all__ = [
     "ArrayMailbox",
@@ -66,13 +66,13 @@ def combine_by_vertex(
     """
     if vertices.size <= 1:
         return vertices, messages
-    order = np.argsort(vertices, kind="stable")
+    order = vertices.argsort(kind="stable")
     sv = vertices[order]
     sm = messages[order]
     run_start = np.empty(sv.size, dtype=bool)
     run_start[0] = True
     np.not_equal(sv[1:], sv[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
+    starts = run_start.nonzero()[0]
     return sv[starts], combine.reduceat(sm, starts)
 
 
@@ -91,49 +91,51 @@ def contribute_partial(agg_partial: Dict[str, Any], name: str, value: Any) -> No
 
 def group_by_owner(
     assignment: np.ndarray, vertices: np.ndarray, messages: np.ndarray
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(owner, vertex_chunk, message_chunk)`` grouped by owning worker.
+) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """``(owner, vertex_chunk, message_chunk)`` triples grouped by owning worker.
 
-    Owners come out in ascending order; within a chunk, targets keep their
-    input order.  ``assignment`` must hold non-negative worker ids (the
-    engine rejects any other).  When one worker owns every target, the
-    input arrays are yielded as they are.
+    Owners come out in ascending order, each once, with a non-empty chunk;
+    within a chunk, targets keep their input order.  ``assignment`` must
+    hold non-negative worker ids (the engine rejects any other).  When one
+    worker owns every target, the input arrays are returned as they are.
     """
     if vertices.size == 0:
-        return
+        return []
     owners = assignment[vertices]
     counts = np.bincount(owners)
     # the last bin is the largest owner; holding every target, it is the only one
     if counts[-1] == vertices.size:
-        yield counts.size - 1, vertices, messages
-        return
-    order = np.argsort(owners, kind="stable")
+        return [(counts.size - 1, vertices, messages)]
+    order = owners.argsort(kind="stable")
     sv = vertices[order]
     sm = messages[order]
+    groups: List[Tuple[int, np.ndarray, np.ndarray]] = []
     lo = 0
-    for owner, hi in enumerate(np.cumsum(counts).tolist()):
+    for owner, hi in enumerate(counts.cumsum().tolist()):
         if hi > lo:
-            yield owner, sv[lo:hi], sm[lo:hi]
+            groups.append((owner, sv[lo:hi], sm[lo:hi]))
             lo = hi
+    return groups
 
 
-def expand_edges(indptr: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def expand_edges(csr: CSRView, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Edge indices of all out-edges of ``vertices`` plus their source positions.
 
     Returns ``(edge_idx, src_pos)`` where ``edge_idx`` indexes the CSR
     ``indices``/``weights`` arrays and ``src_pos[i]`` is the position in
-    ``vertices`` the edge ``edge_idx[i]`` originates from.
+    ``vertices`` the edge ``edge_idx[i]`` originates from.  Edge ``i`` is
+    ``i`` plus its source's shift, ``indptr[v]`` minus the number of edges
+    expanded before ``v``.
     """
-    degrees = indptr[vertices + 1] - indptr[vertices]
-    total = int(degrees.sum())
+    degrees = csr.degree[vertices]
+    ends = degrees.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    src_pos = np.repeat(np.arange(vertices.size, dtype=np.int64), degrees)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(degrees) - degrees, degrees
-    )
-    edge_idx = np.repeat(indptr[vertices], degrees) + offsets
+    src_pos = np.arange(vertices.size, dtype=np.int64).repeat(degrees)
+    shift = csr.indptr[vertices] - (ends - degrees)
+    edge_idx = np.arange(total, dtype=np.int64) + shift[src_pos]
     return edge_idx, src_pos
 
 
@@ -143,36 +145,39 @@ class ArrayMailbox:
     Producers append raw (possibly duplicated) chunks; the consumer combines
     them into a unique sorted frontier with the kernel's combiner ufunc.
     This keeps delivery O(1) amortized and defers the sort to one place.
+    The two chunk lists stay aligned and hold no empty chunk: a producer
+    whose chunk is known non-empty (a ``group_by_owner`` group) extends
+    them directly, any other goes through :meth:`append`.
     """
 
-    __slots__ = ("_vertex_chunks", "_message_chunks")
+    __slots__ = ("vertex_chunks", "message_chunks")
 
     def __init__(self) -> None:
-        self._vertex_chunks: List[np.ndarray] = []
-        self._message_chunks: List[np.ndarray] = []
+        self.vertex_chunks: List[np.ndarray] = []
+        self.message_chunks: List[np.ndarray] = []
 
     def append(self, vertices: np.ndarray, messages: np.ndarray) -> None:
         if vertices.size == 0:
             return
-        self._vertex_chunks.append(vertices)
-        self._message_chunks.append(messages)
+        self.vertex_chunks.append(vertices)
+        self.message_chunks.append(messages)
 
     def __bool__(self) -> bool:
-        return bool(self._vertex_chunks)
+        return bool(self.vertex_chunks)
 
     def __len__(self) -> int:
-        return int(sum(c.size for c in self._vertex_chunks))
+        return int(sum(c.size for c in self.vertex_chunks))
 
     def concat(self) -> Tuple[np.ndarray, np.ndarray]:
         """All chunks concatenated (duplicates not yet combined)."""
-        if not self._vertex_chunks:
+        if not self.vertex_chunks:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        if len(self._vertex_chunks) == 1:
-            return self._vertex_chunks[0], self._message_chunks[0]
+        if len(self.vertex_chunks) == 1:
+            return self.vertex_chunks[0], self.message_chunks[0]
         return (
-            np.concatenate(self._vertex_chunks),
-            np.concatenate(self._message_chunks),
+            np.concatenate(self.vertex_chunks),
+            np.concatenate(self.message_chunks),
         )
 
     def clone(self) -> "ArrayMailbox":
@@ -183,8 +188,8 @@ class ArrayMailbox:
         — so the chunk arrays themselves are copied.
         """
         out = ArrayMailbox()
-        out._vertex_chunks = [c.copy() for c in self._vertex_chunks]
-        out._message_chunks = [c.copy() for c in self._message_chunks]
+        out.vertex_chunks = [c.copy() for c in self.vertex_chunks]
+        out.message_chunks = [c.copy() for c in self.message_chunks]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -315,11 +320,10 @@ class _BoundedWavefrontKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        best = np.minimum(messages, dist[vertices])
-        improved = best < dist[vertices]
-        dist[vertices] = best
+        improved = messages < dist[vertices]
         iv = vertices[improved]
-        ib = best[improved]
+        ib = messages[improved]
+        dist[iv] = ib
 
         contribs: Dict[str, Any] = {}
         terminal = self.terminal_mask(graph, iv)
@@ -335,7 +339,7 @@ class _BoundedWavefrontKernel(QueryKernel):
             ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr, iv)
         targets = csr.indices[edge_idx]
         candidates = ib[src_pos] + csr.weights[edge_idx]
         if bound is not None:
@@ -345,7 +349,8 @@ class _BoundedWavefrontKernel(QueryKernel):
         return targets, candidates, contribs
 
     def state_dict(self, dist: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): float(dist[v]) for v in np.flatnonzero(scope_mask)}
+        idx = np.flatnonzero(scope_mask)
+        return dict(zip(idx.tolist(), dist[idx].tolist()))
 
 
 class SsspKernel(_BoundedWavefrontKernel):
@@ -394,11 +399,10 @@ class BfsKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        best = np.minimum(messages, depth[vertices])
-        improved = best < depth[vertices]
-        depth[vertices] = best
+        improved = messages < depth[vertices]
         iv = vertices[improved]
-        ib = best[improved]
+        ib = messages[improved]
+        depth[iv] = ib
 
         contribs: Dict[str, Any] = {}
         if self.target is not None:
@@ -419,13 +423,14 @@ class BfsKernel(QueryKernel):
             ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr, iv)
         targets = csr.indices[edge_idx]
         out = ib[src_pos] + 1
         return targets, out, contribs
 
     def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): int(depth[v]) for v in np.flatnonzero(scope_mask)}
+        idx = np.flatnonzero(scope_mask)
+        return dict(zip(idx.tolist(), depth[idx].tolist()))
 
 
 class KHopKernel(QueryKernel):
@@ -449,23 +454,23 @@ class KHopKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        best = np.minimum(messages, depth[vertices])
-        improved = best < depth[vertices]
-        depth[vertices] = best
+        improved = messages < depth[vertices]
         iv = vertices[improved]
-        ib = best[improved]
+        ib = messages[improved]
+        depth[iv] = ib
         keep = ib < self.k
         iv = iv[keep]
         ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr, iv)
         targets = csr.indices[edge_idx]
         out = ib[src_pos] + 1
         return targets, out, {}
 
     def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): int(depth[v]) for v in np.flatnonzero(scope_mask)}
+        idx = np.flatnonzero(scope_mask)
+        return dict(zip(idx.tolist(), depth[idx].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -506,12 +511,12 @@ class ReachabilityKernel(QueryKernel):
         relays = fresh[~at_target]
 
         csr = graph.csr()
-        edge_idx, _src_pos = expand_edges(csr.indptr, relays)
+        edge_idx, _src_pos = expand_edges(csr, relays)
         targets = csr.indices[edge_idx]
         return targets, np.ones(targets.size, dtype=bool), contribs
 
     def state_dict(self, visited: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): True for v in np.flatnonzero(scope_mask)}
+        return dict.fromkeys(np.flatnonzero(scope_mask).tolist(), True)
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +564,7 @@ class LocalPageRankKernel(QueryKernel):
         p, r = state
         r[vertices] += messages
         csr = graph.csr()
-        degrees = csr.indptr[vertices + 1] - csr.indptr[vertices]
+        degrees = csr.degree[vertices]
         thresholds = self.epsilon * np.maximum(degrees, 1)
         push = r[vertices] >= thresholds
         pv = vertices[push]
@@ -576,7 +581,7 @@ class LocalPageRankKernel(QueryKernel):
         shares = (1.0 - self.alpha) * residual[~dangling] / pdeg[~dangling]
         r[pv] = 0.0
 
-        edge_idx, src_pos = expand_edges(csr.indptr, senders)
+        edge_idx, src_pos = expand_edges(csr, senders)
         targets = csr.indices[edge_idx]
         return targets, shares[src_pos], {}
 
@@ -584,9 +589,8 @@ class LocalPageRankKernel(QueryKernel):
         self, state: Tuple[np.ndarray, np.ndarray], scope_mask: np.ndarray
     ) -> Dict[int, Any]:
         p, r = state
-        return {
-            int(v): (float(p[v]), float(r[v])) for v in np.flatnonzero(scope_mask)
-        }
+        idx = np.flatnonzero(scope_mask)
+        return dict(zip(idx.tolist(), zip(p[idx].tolist(), r[idx].tolist())))
 
 
 # ----------------------------------------------------------------------
@@ -641,25 +645,25 @@ class LocalWccKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        best = np.minimum(messages, keys[vertices])
-        improved = best < keys[vertices]
-        keys[vertices] = best
+        improved = messages < keys[vertices]
         iv = vertices[improved]
-        ib = best[improved]
+        ib = messages[improved]
+        keys[iv] = ib
         hops = self.max_hops - ib % self._base
         keep = hops > 0
         iv = iv[keep]
         ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr, iv)
         targets = csr.indices[edge_idx]
         # relaying (label, hops - 1) increments the packed key by exactly 1
         out = ib[src_pos] + 1
         return targets, out, {}
 
     def state_dict(self, keys: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {
-            int(v): self.decode_key(int(keys[v]))
-            for v in np.flatnonzero(scope_mask)
-        }
+        idx = np.flatnonzero(scope_mask)
+        held = keys[idx]
+        labels = (held // self._base).tolist()
+        hops = (self.max_hops - held % self._base).tolist()
+        return dict(zip(idx.tolist(), zip(labels, hops)))

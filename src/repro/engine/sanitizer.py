@@ -38,7 +38,9 @@ Invariant catalog
     graph's vertex count after every delta flush.
 ``csr-integrity``
     The cached ``csr()``/``csr_in()`` views only change at a legitimate
-    delta flush (catches out-of-band mutation of the shared arrays).
+    delta flush (catches out-of-band mutation of the shared arrays), and
+    the cached ``csr().degree`` equals ``np.diff`` of the graph's live
+    ``indptr`` (catches a flush that left a stale view behind).
 ``crash-epoch``
     No compute executes on a crashed worker, and no barrier ack issued
     before a crash-recovery rollback (epoch at or below the rollback
@@ -189,8 +191,24 @@ class SimulationSanitizer:
         self._csr_fingerprint = self._fingerprint_csr()
 
     def check_csr_integrity(self, now: float) -> None:
-        """The cached CSR views must not have changed since the last flush."""
+        """The cached CSR views must not have changed since the last flush,
+        and the cached out-degrees must match the live adjacency."""
         self.checks_performed += 1
+        graph = self.engine.graph
+        degree = graph.csr().degree
+        live = np.diff(graph.indptr)
+        if not np.array_equal(degree, live):
+            raise SanitizerError(
+                "csr-integrity",
+                "cached csr().degree disagrees with the graph's indptr — "
+                "a stale CSR view survived a flush, or its degree array "
+                "was written to",
+                time=now,
+                details={
+                    "cached_vertices": int(degree.size),
+                    "num_vertices": int(live.size),
+                },
+            )
         current = self._fingerprint_csr()
         if current != self._csr_fingerprint:
             raise SanitizerError(
@@ -528,7 +546,10 @@ class SimulationSanitizer:
 
     def on_graph_flush(self, now: float) -> None:
         """A delta flush is the one legitimate topology change: re-baseline
-        the CSR fingerprint, then verify the structures that must follow."""
+        the CSR fingerprint, then verify the structures that must follow
+        (the cached degree array included: a view the flush failed to drop
+        is caught here, not at the next flush)."""
         self.refresh_csr_fingerprint()
+        self.check_csr_integrity(now)
         self.check_state_shapes(now)
         self.check_scope_liveness(now)

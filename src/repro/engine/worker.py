@@ -18,7 +18,7 @@ to the machine and network models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.engine.query import QueryRuntime
 from repro.engine.vertex_program import ComputeContext
 from repro.graph.digraph import DiGraph
 from repro.simulation.cluster import MachineProfile
+from repro.simulation.network import NetworkModel
 
 __all__ = ["SimWorker", "IterationResult"]
 
@@ -40,7 +41,9 @@ class IterationResult:
     local_messages: int = 0
     #: raw remote messages consumed from this worker's inbox (deserialization)
     remote_inbound: int = 0
-    #: destination worker -> number of messages (post-combining)
+    #: destination worker -> number of raw (pre-combining) messages sent
+    #: there; the cost model charges serialization and wire time per
+    #: message sent, so combining at the receiver does not reduce it
     remote_messages: Dict[int, int] = field(default_factory=dict)
     #: newly activated vertices on this worker (scope additions)
     activated: List[int] = field(default_factory=list)
@@ -75,11 +78,11 @@ class SimWorker:
     ) -> IterationResult:
         """Run the vertex function on every locally active vertex.
 
-        Consumes this worker's current mailbox for the query; routes produced
-        messages into ``qr.next_mailboxes`` (local targets) or returns them
-        per destination worker (remote targets are merged into the runtime's
-        next mailboxes too — the engine only needs the counts to charge
-        network time).
+        Consumes this worker's current mailbox for the query and routes every
+        produced message into ``qr.next_mailboxes``.  Remote sends are also
+        counted per destination worker in ``remote_messages``; the engine
+        charges network time and books the receivers' inbound counts from
+        them.
         """
         result = IterationResult()
         result.remote_inbound = qr.pending_remote_inbound.pop(self.wid, 0)
@@ -116,9 +119,6 @@ class SimWorker:
                     result.remote_messages[owner] = (
                         result.remote_messages.get(owner, 0) + 1
                     )
-                    qr.pending_remote_inbound[owner] = (
-                        qr.pending_remote_inbound.get(owner, 0) + 1
-                    )
 
         self.vertex_executions += result.executed_vertices
         return result
@@ -141,9 +141,8 @@ class SimWorker:
         """
         kernel = qr.kernel
         vertices, messages = kernel.combine_arrays(*mailbox.concat())
-        result.executed_vertices = int(vertices.size)
-        indptr = graph.csr().indptr
-        result.visited_edges = int((indptr[vertices + 1] - indptr[vertices]).sum())
+        result.executed_vertices = vertices.size
+        result.visited_edges = int(graph.csr().degree[vertices].sum())
 
         newly = vertices[~qr.scope_mask[vertices]]
         if newly.size:
@@ -164,32 +163,33 @@ class SimWorker:
         for name, value in contribs.items():
             contribute_partial(agg_partial, name, value)
 
+        # one pass: each owner comes once, ascending, with a non-empty chunk
+        remote = result.remote_messages
         for dest, vchunk, mchunk in group_by_owner(assignment, targets, out_messages):
-            qr.deliver_array(dest, vchunk, mchunk)
-            count = int(vchunk.size)
+            box = qr.next_mailboxes.get(dest)
+            if box is None:
+                box = qr.next_mailboxes[dest] = ArrayMailbox()
+            box.vertex_chunks.append(vchunk)
+            box.message_chunks.append(mchunk)
             if dest == self.wid:
-                result.local_messages += count
+                result.local_messages = vchunk.size
             else:
-                result.remote_messages[dest] = (
-                    result.remote_messages.get(dest, 0) + count
-                )
-                qr.pending_remote_inbound[dest] = (
-                    qr.pending_remote_inbound.get(dest, 0) + count
-                )
+                remote[dest] = vchunk.size
 
     # ------------------------------------------------------------------
     def compute_duration(
         self,
         result: IterationResult,
-        serialize_time_fn: Callable[[int, int], float],
+        links: Sequence[NetworkModel],
         deserialize_time: float = 0.0,
     ) -> float:
         """CPU seconds of the iteration under the machine cost model.
 
-        ``serialize_time_fn(dest_worker, count)`` supplies the sender-side
-        serialization cost for a remote batch (depends on the link);
-        ``deserialize_time`` is the receiver-side cost of the remote
-        messages this task consumed from its inbox.
+        ``links[dest]`` is this worker's link to ``dest``; it supplies the
+        sender-side serialization cost of each remote batch, added in the
+        order of ``result.remote_messages``.  ``deserialize_time`` is the
+        receiver-side cost of the remote messages this task consumed from
+        its inbox.
         """
         m = self.machine
         duration = (
@@ -200,7 +200,7 @@ class SimWorker:
             + deserialize_time
         )
         for dest, count in result.remote_messages.items():
-            duration += serialize_time_fn(dest, count)
+            duration += links[dest].serialize_time(count)
         return duration
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -41,11 +41,14 @@ class CSRView(NamedTuple):
     Handed to the vectorized iteration kernels so the hot path does a single
     attribute lookup per iteration instead of three property calls per edge
     expansion.  The arrays are the graph's own buffers — do not mutate.
+    ``degree`` is ``np.diff(indptr)``, built with the view and dropped with
+    it, so a frontier's degrees are one gather.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
+    degree: np.ndarray
 
 
 class DiGraph:
@@ -197,7 +200,9 @@ class DiGraph:
         """
         view = self._csr_view
         if view is None:
-            view = CSRView(self._indptr, self._indices, self._weights)
+            view = CSRView(
+                self._indptr, self._indices, self._weights, np.diff(self._indptr)
+            )
             self._csr_view = view
         return view
 
@@ -210,7 +215,9 @@ class DiGraph:
         """
         view = self._csr_in_view
         if view is None:
-            view = CSRView(self._rindptr, self._rindices, self._rweights)
+            view = CSRView(
+                self._rindptr, self._rindices, self._rweights, np.diff(self._rindptr)
+            )
             self._csr_in_view = view
         return view
 
@@ -271,7 +278,11 @@ class DiGraph:
         return int(self._rindptr[v + 1] - self._rindptr[v])
 
     def out_degrees(self) -> np.ndarray:
-        """Vector of out-degrees for all vertices."""
+        """Vector of out-degrees for all vertices.
+
+        A fresh array on every call (callers may write into it); the
+        kernels read the cached ``csr().degree`` instead.
+        """
         return np.diff(self._indptr)
 
     def in_degrees(self) -> np.ndarray:

@@ -116,6 +116,10 @@ class TestCsrMutation:
         )
         assert rules_of(lint_source(src)) == ["csr-mutation"]
 
+    def test_write_to_cached_degree(self):
+        src = "view = graph.csr()\nview.degree[v] -= 1\n"
+        assert rules_of(lint_source(src)) == ["csr-mutation"]
+
     def test_mutator_method_on_view_array(self):
         src = "view = g.csr()\nview.weights.fill(0.0)\n"
         assert rules_of(lint_source(src)) == ["csr-mutation"]

@@ -8,6 +8,8 @@ empty scopes, single query, all-overlapping queries, and k=1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     QueryScopes,
@@ -175,6 +177,106 @@ class TestStoreEquivalence:
         assert qids.tolist() == [1, 3]
         assert counts.tolist() == [1, 2]
         assert verts.tolist() == [7, 5, 6]
+
+
+def reference_remove_vertices(store, vertices):
+    """``ScopeStore.remove_vertices`` as one ``np.isin`` per pending chunk.
+
+    The direct formulation the one-pass membership test must match: the
+    same arrays, the same pending chunks in the same order, and the same
+    flat-view invalidation.
+    """
+    dead = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    if dead.size == 0:
+        return
+    changed = False
+    for qid, arr in store._arrays.items():
+        if arr.size == 0:
+            continue
+        pos = np.searchsorted(dead, arr)
+        hit = (pos < dead.size) & (dead[np.minimum(pos, dead.size - 1)] == arr)
+        if hit.any():
+            store._arrays[qid] = arr[~hit]
+            changed = True
+    for qid, chunks in store._pending.items():
+        fresh_chunks = []
+        for chunk in chunks:
+            keep = ~np.isin(chunk, dead)
+            if not keep.all():
+                chunk = chunk[keep]
+                changed = True
+            if chunk.size:
+                fresh_chunks.append(chunk)
+        store._pending[qid] = fresh_chunks
+    if changed:
+        store._flat = None
+
+
+def _store_layout(store):
+    arrays = {qid: arr.tolist() for qid, arr in store._arrays.items()}
+    pending = {
+        qid: [chunk.tolist() for chunk in chunks]
+        for qid, chunks in store._pending.items()
+    }
+    return list(store._arrays), arrays, list(store._pending), pending
+
+
+@st.composite
+def _removal_cases(draw):
+    """Activation events, reads that consolidate some queries, dead ids."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    events = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.lists(vertex, max_size=12)),
+            max_size=25,
+        )
+    )
+    consolidate = draw(st.lists(st.integers(0, 6), max_size=4))
+    late = draw(
+        st.lists(st.tuples(st.integers(0, 6), st.lists(vertex, max_size=8)), max_size=8)
+    )
+    dead = draw(st.lists(vertex, max_size=10))
+    return events, consolidate, late, dead
+
+
+class TestRemoveVertices:
+    """One membership pass gives the scopes the per-chunk loop gives."""
+
+    @staticmethod
+    def _build(events, consolidate, late):
+        store = ScopeStore()
+        for qid, chunk in events:
+            store.add_activations(qid, chunk)
+        for qid in consolidate:
+            store.scope_array(qid)
+        for qid, chunk in late:
+            store.add_activations(qid, chunk)
+        store.incidence()  # build the flat view so invalidation shows
+        return store
+
+    @settings(max_examples=300, deadline=None)
+    @given(_removal_cases())
+    def test_matches_per_chunk_loop(self, case):
+        events, consolidate, late, dead = case
+        got = self._build(events, consolidate, late)
+        want = self._build(events, consolidate, late)
+        got.remove_vertices(dead)
+        reference_remove_vertices(want, dead)
+        assert _store_layout(got) == _store_layout(want)
+        assert (got._flat is None) == (want._flat is None)
+        for qid in want.queries():
+            assert np.array_equal(got.scope_array(qid), want.scope_array(qid))
+        assert got.incidence()[0].tolist() == want.incidence()[0].tolist()
+
+    def test_numpy_input_and_no_hit(self):
+        store = self._build([(0, [1, 2]), (1, [3])], [0], [(0, [4])])
+        flat = store._flat
+        store.remove_vertices(np.array([9, 9], dtype=np.int32))
+        assert store._flat is flat  # nothing removed: view kept
+        store.remove_vertices(np.array([2, 4]))
+        assert store.global_scope(0) == {1}
+        assert store.global_scope(1) == {3}
 
 
 class TestPairwiseEquivalence:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernels_reference import reference_combine_by_vertex, reference_group_by_owner
+from kernels_reference import (
+    reference_bfs_step,
+    reference_bounded_step,
+    reference_combine_by_vertex,
+    reference_expand_edges,
+    reference_group_by_owner,
+    reference_khop_step,
+    reference_wcc_step,
+)
 
 from repro.core import Controller
 from repro.engine import (
@@ -16,11 +24,19 @@ from repro.engine import (
     VertexProgram,
 )
 from repro.engine.kernels import (
+    BfsKernel,
+    KHopKernel,
+    LocalPageRankKernel,
     LocalWccKernel,
+    PoiKernel,
+    ReachabilityKernel,
+    SsspKernel,
     combine_by_vertex,
     expand_edges,
     group_by_owner,
 )
+from repro.engine.query import QueryRuntime
+from repro.engine.worker import SimWorker
 from repro.graph import DiGraph, grid_graph, rmat_graph, watts_strogatz
 from repro.partitioning import HashPartitioner
 from repro.queries import (
@@ -293,7 +309,7 @@ class TestKernelPrimitives:
     def test_expand_edges_matches_out_edges(self):
         g = watts_strogatz(50, 4, 0.2, seed=1)
         vertices = np.array([0, 7, 13], dtype=np.int64)
-        edge_idx, src_pos = expand_edges(g.indptr, vertices)
+        edge_idx, src_pos = expand_edges(g.csr(), vertices)
         expected = []
         for pos, v in enumerate(vertices):
             for nbr in g.out_neighbors(int(v)):
@@ -303,7 +319,7 @@ class TestKernelPrimitives:
 
     def test_expand_edges_empty(self):
         g = grid_graph(2, 2)
-        edge_idx, src_pos = expand_edges(g.indptr, np.empty(0, dtype=np.int64))
+        edge_idx, src_pos = expand_edges(g.csr(), np.empty(0, dtype=np.int64))
         assert edge_idx.size == 0 and src_pos.size == 0
 
     def test_array_mailbox(self):
@@ -346,5 +362,263 @@ class TestKernelPrimitives:
         view = g.csr()
         assert view is g.csr()
         assert view.indptr is g.indptr
+        assert np.array_equal(view.degree, g.out_degrees())
         g._invalidate_csr()
         assert view is not g.csr()
+
+
+# ----------------------------------------------------------------------
+# the min-wavefront kernels and edge expansion against the oracles
+# ----------------------------------------------------------------------
+@st.composite
+def _small_graphs(draw, max_vertices=12):
+    """A CSR graph with zero-degree vertices, parallel edges and self-loops."""
+    n = draw(st.integers(1, max_vertices))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=5), min_size=n, max_size=n
+        )
+    )
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([t for r in rows for t in r], dtype=np.int64)
+    weights = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                min_size=indices.size,
+                max_size=indices.size,
+            )
+        ),
+        dtype=np.float64,
+    )
+    tags = np.array(
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+    )
+    return DiGraph(indptr, indices, weights, tags=tags)
+
+
+class TestExpandEdgesMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_small_graphs(), st.data())
+    def test_hypothesis(self, graph, data):
+        vertices = np.array(
+            data.draw(st.lists(st.integers(0, graph.num_vertices - 1), max_size=15)),
+            dtype=np.int64,
+        )
+        got = expand_edges(graph.csr(), vertices)
+        want = reference_expand_edges(graph.indptr, vertices)
+        for g_arr, w_arr in zip(got, want):
+            _assert_same_arrays(g_arr, w_arr)
+
+
+#: kernel factory, its oracle step, and the state/message dtype
+_WAVEFRONTS = {
+    "sssp": (lambda: SsspKernel(), reference_bounded_step, np.float64),
+    "sssp-target": (lambda: SsspKernel(target=3), reference_bounded_step, np.float64),
+    "poi": (lambda: PoiKernel(), reference_bounded_step, np.float64),
+    "bfs": (lambda: BfsKernel(), reference_bfs_step, np.int64),
+    "bfs-target-depth": (
+        lambda: BfsKernel(target=2, max_depth=3),
+        reference_bfs_step,
+        np.int64,
+    ),
+    "khop": (lambda: KHopKernel(2), reference_khop_step, np.int64),
+    "wcc": (lambda: LocalWccKernel(3), reference_wcc_step, np.int64),
+}
+
+
+def _unreached(dtype):
+    return np.inf if dtype is np.float64 else np.iinfo(np.int64).max
+
+
+def _assert_step_like_reference(kernel, oracle, graph, state, vertices, messages, agg):
+    got_state, want_state = state.copy(), state.copy()
+    got = kernel.step(graph, got_state, vertices, messages, dict(agg))
+    want = oracle(kernel, graph, want_state, vertices, messages, dict(agg))
+    _assert_same_arrays(got[0], want[0])
+    _assert_same_arrays(got[1], want[1])
+    assert got[2] == want[2]
+    assert [type(v) for v in got[2].values()] == [type(v) for v in want[2].values()]
+    _assert_same_arrays(got_state, want_state)
+
+
+class TestWavefrontStepsMatchReference:
+    """Each min-wavefront ``step`` against its ``np.minimum`` formulation."""
+
+    @pytest.mark.parametrize("case", sorted(_WAVEFRONTS))
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_small_graphs(), data=st.data())
+    def test_hypothesis(self, case, graph, data):
+        factory, oracle, dtype = _WAVEFRONTS[case]
+        kernel = factory()
+        n = graph.num_vertices
+        # unreached slots, finite ones, and values equal to a message
+        slots = data.draw(
+            st.lists(st.one_of(st.none(), st.integers(0, 6)), min_size=n, max_size=n)
+        )
+        state = np.array(
+            [_unreached(dtype) if v is None else v for v in slots], dtype=dtype
+        )
+        vertices = np.array(
+            sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))),
+            dtype=np.int64,
+        )
+        messages = np.array(
+            data.draw(
+                st.lists(st.integers(0, 6), min_size=vertices.size, max_size=vertices.size)
+            ),
+            dtype=dtype,
+        )
+        bound = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+        agg = {} if bound is None else {"bound": dtype(bound)}
+        _assert_step_like_reference(kernel, oracle, graph, state, vertices, messages, agg)
+
+    @pytest.mark.parametrize("case", sorted(_WAVEFRONTS))
+    def test_equal_unreached_and_empty(self, case):
+        factory, oracle, dtype = _WAVEFRONTS[case]
+        kernel = factory()
+        graph = _tagged_ring(6)
+        unset = _unreached(dtype)
+        state = np.array([unset, 2, 1, unset, 0, 4], dtype=dtype)
+        cases = [
+            ([1, 2, 4], [2, 1, 0]),  # every message equals the state: silent
+            ([0, 3, 5], [3, 1, 1]),  # unreached slots and an improvement
+            ([0, 1, 2, 3, 4, 5], [0, 5, 0, 2, 1, 4]),  # mixed
+            ([], []),  # empty frontier
+        ]
+        for vertices, messages in cases:
+            v = np.array(vertices, dtype=np.int64)
+            m = np.array(messages, dtype=dtype)
+            for agg in ({}, {"bound": dtype(3)}):
+                _assert_step_like_reference(kernel, oracle, graph, state, v, m, agg)
+
+    def test_inf_message_into_unreached_state_stays_unreached(self):
+        kernel = SsspKernel()
+        graph = _tagged_ring(4)
+        state = np.full(4, np.inf)
+        v = np.array([0, 1], dtype=np.int64)
+        m = np.array([np.inf, 1.0])
+        _assert_step_like_reference(
+            kernel, reference_bounded_step, graph, state, v, m, {}
+        )
+        targets, _out, _ = kernel.step(graph, state, v, m, {})
+        assert np.isinf(state[0]) and state[1] == 1.0
+        assert targets.tolist() == [2]
+
+
+def _tagged_ring(n):
+    indptr = np.arange(n + 1, dtype=np.int64)
+    indices = (np.arange(n, dtype=np.int64) + 1) % n
+    tags = np.zeros(n, dtype=bool)
+    tags[n // 2] = True
+    return DiGraph(indptr, indices, np.ones(n), tags=tags)
+
+
+class TestWorkerRouting:
+    """A task's output lands per owner exactly as the reference routes it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "program,oracle",
+        [
+            (lambda: SsspProgram(0), reference_bounded_step),
+            (lambda: BfsProgram(0), reference_bfs_step),
+        ],
+        ids=["sssp", "bfs"],
+    )
+    def test_remote_messages_and_chunk_order(self, seed, program, oracle):
+        rng = np.random.default_rng(seed)
+        graph = watts_strogatz(60, 6, 0.3, seed=seed)
+        k, wid = 4, int(rng.integers(0, 4))
+        assignment = rng.integers(0, k, size=graph.num_vertices).astype(np.int64)
+        qr = QueryRuntime(Query(0, program(), (0,)), graph)
+        kernel = qr.kernel
+        frontier = rng.choice(graph.num_vertices, size=8, replace=False)
+        box = ArrayMailbox()
+        box.append(
+            frontier.astype(np.int64),
+            rng.integers(0, 5, size=8).astype(kernel.message_dtype),
+        )
+        qr.mailboxes[wid] = box
+        # an earlier task's chunk already waits on one owner: new ones go after it
+        earlier = (np.array([1], dtype=np.int64), np.zeros(1, kernel.message_dtype))
+        qr.next_mailboxes[1] = ArrayMailbox()
+        qr.next_mailboxes[1].append(*earlier)
+
+        vertices, messages = kernel.combine_arrays(*box.concat())
+        targets, out, _ = oracle(
+            kernel, graph, qr.kstate.copy(), vertices, messages, {}
+        )
+        want = list(reference_group_by_owner(assignment, targets, out))
+
+        worker = SimWorker(wid, make_cluster("M2", k).machine)
+        result = worker.execute_iteration(qr, graph, assignment)
+
+        assert list(result.remote_messages.items()) == [
+            (owner, v.size) for owner, v, _ in want if owner != wid
+        ]
+        for owner, count in result.remote_messages.items():
+            assert type(owner) is int and type(count) is int
+        assert result.local_messages == sum(
+            v.size for owner, v, _ in want if owner == wid
+        )
+        assert qr.pending_remote_inbound == {}  # booked by the engine
+        for owner, wv, wm in want:
+            got = qr.next_mailboxes[owner]
+            _assert_same_arrays(got.vertex_chunks[-1], wv)
+            _assert_same_arrays(got.message_chunks[-1], wm)
+        assert qr.next_mailboxes[1].vertex_chunks[0] is earlier[0]
+        assert sorted(qr.next_mailboxes) == sorted({1} | {o for o, _, _ in want})
+
+
+#: kernel, the value type its state_dict holds, and the per-vertex
+#: formulation of the same dict
+_STATE_DICTS = {
+    "sssp": (
+        SsspKernel(),
+        float,
+        lambda k, s, idx: {int(v): float(s[v]) for v in idx},
+    ),
+    "bfs": (BfsKernel(), int, lambda k, s, idx: {int(v): int(s[v]) for v in idx}),
+    "khop": (KHopKernel(3), int, lambda k, s, idx: {int(v): int(s[v]) for v in idx}),
+    "reach": (ReachabilityKernel(1), bool, lambda k, s, idx: {int(v): True for v in idx}),
+    "pagerank": (
+        LocalPageRankKernel(0.15, 1e-4),
+        tuple,
+        lambda k, s, idx: {int(v): (float(s[0][v]), float(s[1][v])) for v in idx},
+    ),
+    "wcc": (
+        LocalWccKernel(4),
+        tuple,
+        lambda k, s, idx: {int(v): k.decode_key(int(s[v])) for v in idx},
+    ),
+}
+
+
+class TestStateDict:
+    @pytest.mark.parametrize("case", sorted(_STATE_DICTS))
+    def test_builtin_types_and_values(self, case):
+        kernel, value_type, per_vertex = _STATE_DICTS[case]
+        graph = grid_graph(4, 4)
+        state = kernel.make_state(graph)
+        rng = np.random.default_rng(3)
+        for part in state if isinstance(state, tuple) else (state,):
+            if part.dtype == bool:
+                part[:] = rng.random(part.size) < 0.5
+            else:
+                part[:] = rng.integers(0, 40, size=part.size)
+        scope_mask = rng.random(graph.num_vertices) < 0.6
+        got = kernel.state_dict(state, scope_mask)
+        want = per_vertex(kernel, state, np.flatnonzero(scope_mask))
+        assert got == want
+        assert list(got) == list(want)
+        for v, value in got.items():
+            assert type(v) is int
+            assert type(value) is value_type
+            if value_type is tuple:
+                assert [type(x) for x in value] == [type(x) for x in want[v]]
+
+    def test_empty_scope(self):
+        kernel = SsspKernel()
+        graph = grid_graph(2, 2)
+        assert kernel.state_dict(kernel.make_state(graph), np.zeros(4, bool)) == {}

@@ -199,6 +199,24 @@ class TestCsrIntegrity:
         assert err.value.invariant == "csr-integrity"
         assert err.value.time == 0.5
 
+    def test_written_degree_cache_detected(self):
+        engine = _build_engine(grid_graph(8, 8), k=2)
+        engine.graph.csr().degree[3] += 1
+        with pytest.raises(SanitizerError, match="degree") as err:
+            engine.sanitizer.check_csr_integrity(0.25)
+        assert err.value.invariant == "csr-integrity"
+
+    def test_stale_view_after_flush_detected(self, monkeypatch):
+        """A flush that failed to drop the cached view fails at the flush."""
+        graph = MutableDiGraph.from_digraph(grid_graph(8, 8))
+        engine = _build_engine(graph, k=2)
+        graph.csr()
+        # the bug: the flush keeps the pre-flush view (and its degrees)
+        monkeypatch.setattr(MutableDiGraph, "_invalidate_csr", lambda self: None)
+        engine.submit_update(GraphDelta(delete_edges=[(0, 1)]), 0.01)
+        with pytest.raises(SanitizerError, match="degree"):
+            engine.run()
+
     def test_untouched_view_passes(self):
         engine = _build_engine(grid_graph(8, 8), k=2)
         engine.sanitizer.check_csr_integrity(0.0)  # does not raise

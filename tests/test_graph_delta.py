@@ -57,6 +57,36 @@ class TestMutableBasics:
         # the old borrowed view still references the pre-flush arrays
         assert view.indices.size == mg.num_edges + 1
 
+    def test_cached_degree_follows_every_flush(self):
+        """``csr().degree`` is rebuilt with the view: never stale after a
+        flush that adds or removes vertices or inserts or deletes edges."""
+        mg = _mutable_grid()
+
+        def assert_current():
+            assert np.array_equal(mg.csr().degree, np.diff(mg.indptr))
+            assert np.array_equal(mg.csr_in().degree, mg.in_degrees())
+
+        assert_current()  # cached before any flush
+        deltas = [
+            GraphDelta(insert_edges=[(0, 5, 1.0), (0, 6, 2.0)]),
+            GraphDelta(delete_edges=[(0, 1), (5, 6)]),
+            GraphDelta(new_vertices=[NewVertexSpec(edges=((3, 1.0),))]),
+            GraphDelta(remove_vertices=[3, 9]),
+            GraphDelta(
+                new_vertices=[NewVertexSpec(edges=((0, 1.0), (16, 2.0)))],
+                insert_edges=[(2, 7, 1.0)],
+                delete_edges=[(2, 6)],
+            ),
+        ]
+        for delta in deltas:
+            mg.csr()  # a cached view the flush has to drop
+            mg.apply_delta(delta)
+            assert_current()
+        # out_degrees() stays a fresh array that callers may write into
+        fresh = mg.out_degrees()
+        fresh[:] = -1
+        assert_current()
+
     def test_weight_update(self):
         mg = _mutable_grid()
         mg.update_weight(0, 1, 7.5)
