@@ -320,11 +320,56 @@ class EffectAnalysis:
                 return EffectAnalysis._delay_class(left)
         return "unknown"
 
+    def local_aliases(self, fn_qname: str) -> Dict[str, Set[str]]:
+        """Local names that stand for runtime state in ``fn``.
+
+        ``name = x.attr`` binds ``name`` to ``x.attr``, and ``name = a.p if
+        c else a.q`` to both, so a slot store, ``del`` or mutator call
+        through the name writes that attribute.  A name bound more than
+        once stands for every attribute it was bound to.
+        """
+        fn = self.table.functions[fn_qname]
+        aliases: Dict[str, Set[str]] = {}
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            sources = (
+                [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            )
+            effects = {
+                effect
+                for source in sources
+                if isinstance(source, ast.Attribute)
+                for effect in [self._effect_name(fn_qname, source)]
+                if effect is not None
+            }
+            for target in targets:
+                if effects and isinstance(target, ast.Name):
+                    aliases.setdefault(target.id, set()).update(effects)
+        return aliases
+
+    def container_effects(
+        self, fn_qname: str, node: ast.AST, aliases: Dict[str, Set[str]]
+    ) -> Set[str]:
+        """The attributes a container expression stands for: ``x.attr``
+        itself, or every attribute a local alias name was bound to."""
+        if isinstance(node, ast.Attribute):
+            effect = self._effect_name(fn_qname, node)
+            return set() if effect is None else {effect}
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id, set())
+        return set()
+
     def _direct_effects(self, fn_qname: str) -> _DirectEffects:
         fn = self.table.functions[fn_qname]
         out = _DirectEffects()
         role_src = fn.ctx.role == "src"
         followers = _schedule_followers(fn.node) if role_src else {}
+        aliases = self.local_aliases(fn_qname)
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Attribute):
                 effect = self._effect_name(fn_qname, node)
@@ -336,23 +381,20 @@ class EffectAnalysis:
                 else:
                     out.reads.add(effect)
             elif isinstance(node, ast.Subscript):
-                # ``x.attr[i] = v`` / ``del x.attr[i]`` writes the slot
-                if isinstance(node.ctx, (ast.Store, ast.Del)) and isinstance(
-                    node.value, ast.Attribute
-                ):
-                    effect = self._effect_name(fn_qname, node.value)
-                    if effect is not None:
+                # ``x.attr[i] = v`` / ``del x.attr[i]`` writes the slot, and
+                # so does the same store through a local alias of ``x.attr``
+                if isinstance(node.ctx, (ast.Store, ast.Del)):
+                    for effect in sorted(
+                        self.container_effects(fn_qname, node.value, aliases)
+                    ):
                         out.writes.add(effect)
                         out.write_sites.append((effect, node.lineno))
             elif isinstance(node, ast.Call):
                 func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATOR_METHODS
-                    and isinstance(func.value, ast.Attribute)
-                ):
-                    effect = self._effect_name(fn_qname, func.value)
-                    if effect is not None:
+                if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_METHODS:
+                    for effect in sorted(
+                        self.container_effects(fn_qname, func.value, aliases)
+                    ):
                         out.writes.add(effect)
                         out.write_sites.append((effect, node.lineno))
                 if role_src and _is_schedule_call(node):

@@ -263,21 +263,21 @@ class ProtocolAnalysis:
             self._shapes[fn_qname] = shapes
             return shapes
 
-        def mark(node: ast.AST, *tags: str) -> None:
-            attr_node: Optional[ast.Attribute] = None
-            if isinstance(node, ast.Attribute):
-                attr_node = node
-            elif isinstance(node, ast.Subscript) and isinstance(
-                node.value, ast.Attribute
-            ):
-                # a slot write grows the container, never empties it
-                attr_node = node.value
-                tags = ("enter",) if "enter" not in tags else tags
-            if attr_node is None:
-                return
-            effect = self.effects._effect_name(fn_qname, attr_node)
-            if effect is not None:
+        aliases = self.effects.local_aliases(fn_qname)
+
+        def mark_container(node: ast.AST, *tags: str) -> None:
+            # ``x.attr`` or a local alias of it
+            for effect in self.effects.container_effects(fn_qname, node, aliases):
                 shapes.setdefault(effect, set()).update(tags)
+
+        def mark(node: ast.AST, *tags: str) -> None:
+            if isinstance(node, ast.Attribute):
+                mark_container(node, *tags)
+            elif isinstance(node, ast.Subscript):
+                # a slot write grows the container, never empties it
+                mark_container(
+                    node.value, *(("enter",) if "enter" not in tags else tags)
+                )
 
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Assign):
@@ -314,23 +314,14 @@ class ProtocolAnalysis:
                         mark(target, "release")
                     elif isinstance(target, ast.Subscript):
                         # ``del x.attr[k]`` releases the slot
-                        if isinstance(target.value, ast.Attribute):
-                            effect = self.effects._effect_name(
-                                fn_qname, target.value
-                            )
-                            if effect is not None:
-                                shapes.setdefault(effect, set()).add(
-                                    "release"
-                                )
+                        mark_container(target.value, "release")
             elif isinstance(node, ast.Call):
                 func = node.func
-                if isinstance(func, ast.Attribute) and isinstance(
-                    func.value, ast.Attribute
-                ):
+                if isinstance(func, ast.Attribute):
                     if func.attr in _ENTER_MUTATORS:
-                        mark(func.value, "enter")
+                        mark_container(func.value, "enter")
                     elif func.attr in _RELEASE_MUTATORS:
-                        mark(func.value, "release")
+                        mark_container(func.value, "release")
         self._shapes[fn_qname] = shapes
         return shapes
 

@@ -41,6 +41,11 @@ Invariant catalog
     delta flush (catches out-of-band mutation of the shared arrays), and
     the cached ``csr().degree`` equals ``np.diff`` of the graph's live
     ``indptr`` (catches a flush that left a stale view behind).
+``csr-canonical``
+    After every delta flush, the forward and reverse CSR equal a fresh
+    build from the graph's edge list (the ``fresh_rebuild`` pipeline): the
+    flush's splice of the sorted arrays never drifts from canonical
+    construction.
 ``crash-epoch``
     No compute executes on a crashed worker, and no barrier ack issued
     before a crash-recovery rollback (epoch at or below the rollback
@@ -62,6 +67,8 @@ import numpy as np
 from repro.engine.barriers import SyncMode
 from repro.engine.kernels import ArrayMailbox
 from repro.errors import EngineError
+from repro.graph.builder import csr_arrays_from_edges
+from repro.graph.digraph import reverse_csr_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import QGraphEngine
@@ -221,6 +228,27 @@ class SimulationSanitizer:
                     "observed": current,
                 },
             )
+
+    def check_csr_canonical(self, now: float) -> None:
+        """Both CSRs must equal a fresh build from the edge list, the
+        ``fresh_rebuild`` pipeline (O(m log m); graph flushes only)."""
+        self.checks_performed += 1
+        graph = self.engine.graph
+        src, dst, weights = graph.edge_array()
+        forward = csr_arrays_from_edges(src, dst, weights, graph.num_vertices)
+        for direction, got, want in (
+            ("forward", graph.csr(), forward),
+            ("reverse", graph.csr_in(), reverse_csr_arrays(*forward)),
+        ):
+            for name, have, fresh in zip(("indptr", "indices", "weights"), got, want):
+                if not np.array_equal(have, fresh):
+                    raise SanitizerError(
+                        "csr-canonical",
+                        f"{direction} CSR {name} after a flush differs from a "
+                        "fresh build of the same edge list",
+                        time=now,
+                        details={"direction": direction, "array": name},
+                    )
 
     # ------------------------------------------------------------------
     # epoch-monotonicity
@@ -551,5 +579,6 @@ class SimulationSanitizer:
         is caught here, not at the next flush)."""
         self.refresh_csr_fingerprint()
         self.check_csr_integrity(now)
+        self.check_csr_canonical(now)
         self.check_state_shapes(now)
         self.check_scope_liveness(now)

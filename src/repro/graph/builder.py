@@ -21,12 +21,12 @@ def csr_arrays_from_edges(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical CSR arrays from an edge list: ``(indptr, indices, weights)``.
 
-    Edges are ordered by ``(src, dst)`` lexicographically.  This is *the*
-    construction every CSR producer shares (:meth:`GraphBuilder.build`, the
-    churn layer's :meth:`~repro.graph.delta.MutableDiGraph.flush` rebuild
-    and its :func:`~repro.graph.delta.fresh_rebuild` oracle), so a rebuilt
-    graph is array-for-array identical to fresh construction by design
-    rather than by parallel-maintained copies.
+    Edges are ordered by ``(src, dst)`` lexicographically, parallel edges
+    in input order (a stable sort).  This is *the* canonical construction:
+    :meth:`GraphBuilder.build` and :func:`~repro.graph.delta.fresh_rebuild`
+    call it.  :meth:`~repro.graph.delta.MutableDiGraph.flush` does not; it
+    splices the existing sorted arrays, and the churn tests and the
+    sanitizer's ``csr-canonical`` check hold it to this construction.
     """
     n = int(num_vertices)
     order = np.lexsort((dst, src)) if src.size else np.empty(0, dtype=np.int64)

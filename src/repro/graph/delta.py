@@ -19,12 +19,15 @@ rewriting it:
     an error (exactly like a road authority's change feed).
 
 :class:`MutableDiGraph`
-    A :class:`DiGraph` subclass with a pending-delta buffer and a periodic
-    CSR rebuild.  Mutations accumulate in the buffer; :meth:`~MutableDiGraph.flush`
-    rebuilds the forward CSR (in the same ``(src, dst)`` lexicographic order
-    :class:`~repro.graph.builder.GraphBuilder` produces, so a rebuilt graph
-    is array-for-array identical to fresh construction from the same edge
-    list), rebuilds the reverse CSR, and invalidates the cached
+    A :class:`DiGraph` subclass with a pending-delta buffer.  Mutations
+    accumulate in the buffer; :meth:`~MutableDiGraph.flush` splices the
+    forward and reverse CSR: it removes and inserts only the touched
+    entries of the sorted arrays, so a flush costs what it changes plus
+    one copy of each array, not a re-sort of every edge.  The result is
+    in the same ``(src, dst)`` lexicographic order
+    :class:`~repro.graph.builder.GraphBuilder` produces, array-for-array
+    identical to fresh construction from the same edge list
+    (:func:`fresh_rebuild`).  The flush then invalidates the cached
     :meth:`~repro.graph.digraph.DiGraph.csr` / ``csr_in`` views the kernels
     and batched partitioners hold.  Reads always reflect the last flush.
 
@@ -138,12 +141,13 @@ class DeltaResult:
 
 
 class MutableDiGraph(DiGraph):
-    """A CSR graph with buffered mutations and periodic rebuilds.
+    """A CSR graph with buffered mutations, applied by splicing at a flush.
 
     Mutation methods append to a pending :class:`GraphDelta`;
-    :meth:`flush` applies the buffer in one vectorized rebuild.  The cached
-    ``csr()`` / ``csr_in()`` views are invalidated on every rebuild (this is
-    the mutating subclass :meth:`DiGraph._invalidate_csr` anticipated), so
+    :meth:`flush` applies the buffer by splicing the sorted forward and
+    reverse CSR into new arrays.  The cached ``csr()`` / ``csr_in()`` views
+    are invalidated on every flush (this is the mutating subclass
+    :meth:`DiGraph._invalidate_csr` anticipated), so
     kernel iterations dispatched after a flush see the new topology while
     borrowed views from before the flush keep referencing the old arrays —
     never a torn state.
@@ -154,10 +158,21 @@ class MutableDiGraph(DiGraph):
     ``graph_update`` event (one event = one churn epoch).
     """
 
-    __slots__ = ("_pending", "_dead", "auto_flush_threshold", "churn_epochs")
+    __slots__ = (
+        "_pending",
+        "_dead",
+        "_keys",
+        "_rkeys",
+        "auto_flush_threshold",
+        "churn_epochs",
+    )
 
     def __init__(self, *args, auto_flush_threshold: int = 100_000, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        # the sort keys of the forward and reverse CSR entries, spliced
+        # with them at every flush
+        self._keys = _row_keys(self._indptr, self._indices)
+        self._rkeys = _row_keys(self._rindptr, self._rindices)
         self._pending = GraphDelta()
         self._dead = np.zeros(self.num_vertices, dtype=bool)
         self.auto_flush_threshold = int(auto_flush_threshold)
@@ -253,10 +268,20 @@ class MutableDiGraph(DiGraph):
         return self.flush()
 
     # ------------------------------------------------------------------
-    # the rebuild
+    # the splice
     # ------------------------------------------------------------------
     def flush(self) -> DeltaResult:
-        """Apply the pending buffer in one vectorized CSR rebuild.
+        """Apply the pending buffer by splicing both sorted CSRs.
+
+        The forward CSR is sorted by key ``(src, dst)`` and the reverse CSR
+        by ``(dst, src)``, ties in forward order; both key arrays are kept
+        beside the CSRs.  One ``searchsorted`` per mutation kind finds every
+        touched entry, and only those are removed, rewritten or inserted.
+        Inserts go after the kept entries with an equal key, in delta
+        order: the tie order a stable sort of the whole edge list gives, so
+        the result is array-for-array identical to fresh construction.
+        Every array is new; views borrowed before the flush keep the old
+        topology.
 
         Ordering matters only between conflicting mutations on the same
         edge; the application order within one flush is: weight updates,
@@ -268,142 +293,91 @@ class MutableDiGraph(DiGraph):
         self._pending = GraphDelta()
         if not delta:
             return DeltaResult()
-
-        # negative weights violate the graph invariant everywhere else
-        # (constructor, builder, the buffering mutation methods) — a delta
-        # carrying one is a programming error, not a change-feed conflict,
-        # so reject it up front before any state is touched
-        negative = (
-            any(wt < 0 for _u, _v, wt in delta.update_weights)
-            or any(wt < 0 for _u, _v, wt in delta.insert_edges)
-            or any(
-                wt < 0 for spec in delta.new_vertices for _n, wt in spec.edges
-            )
-        )
-        if negative:
-            raise GraphError("negative edge weights are not supported")
+        _reject_negative_weights(delta)
 
         old_n = self.num_vertices
-        src, dst, w = self.edge_array()
+        keys, rkeys = self._keys, self._rkeys
+        weights, rweights = self._weights, self._rweights
         skipped = 0
 
-        # --- weight updates: match encoded (u, v) keys against the edges
+        # --- weight updates: the last update to the same (u, v) wins
         updated = 0
         if delta.update_weights:
             uu, uv, uw = _edge_triples(delta.update_weights)
             valid = _endpoints_alive(uu, uv, old_n, self._dead)
             skipped += int(np.count_nonzero(~valid))
-            uu, uv, uw = uu[valid], uv[valid], uw[valid]
-            if uu.size:
-                keys = src * old_n + dst
-                want = uu * old_n + uv
-                order = np.argsort(keys, kind="stable")
-                sorted_keys = keys[order]
-                # applied in delta order: the last update to the same (u, v)
-                # within one flush wins
-                for i in range(uu.size):
-                    lo = np.searchsorted(sorted_keys, want[i], side="left")
-                    hi = np.searchsorted(sorted_keys, want[i], side="right")
-                    if lo == hi:
-                        skipped += 1
-                        continue
-                    w[order[lo:hi]] = uw[i]
-                    updated += int(hi - lo)
+            want = _encode(uu[valid], uv[valid])
+            uw = uw[valid]
+            lo, hi = _key_ranges(keys, want)
+            skipped += int(np.count_nonzero(lo == hi))
+            updated += int((hi - lo).sum())
+            _, first_from_end = np.unique(want[::-1], return_index=True)
+            last = want.size - 1 - first_from_end
+            weights = _set_ranges(weights, lo[last], hi[last], uw[last])
+            rlo, rhi = _key_ranges(rkeys, _swap(want[last]))
+            rweights = _set_ranges(rweights, rlo, rhi, uw[last])
 
-        # --- deletions (edges, then whole vertices)
-        keep = np.ones(src.size, dtype=bool)
-        deleted = 0
+        # --- deletions (edges, then whole vertices) take every parallel
+        # copy of a (u, v) pair, so they drop whole key ranges in both CSRs
+        dropped: List[np.ndarray] = []
         if delta.delete_edges:
             du = np.asarray([u for u, _v in delta.delete_edges], dtype=np.int64)
             dv = np.asarray([v for _u, v in delta.delete_edges], dtype=np.int64)
             valid = (du >= 0) & (du < old_n) & (dv >= 0) & (dv < old_n)
             skipped += int(np.count_nonzero(~valid))
-            du, dv = du[valid], dv[valid]
-            if du.size:
-                keys = src * old_n + dst
-                want = np.unique(du * old_n + dv)
-                hit = np.isin(keys, want)
-                deleted += int(np.count_nonzero(hit & keep))
-                # deletions of already-absent edges are tolerated silently
-                # (counted per requested pair, not per matched edge)
-                present = np.isin(want, keys)
-                skipped += int(np.count_nonzero(~present))
-                keep &= ~hit
+            want = np.unique(_encode(du[valid], dv[valid]))
+            lo, hi = _key_ranges(keys, want)
+            present = lo < hi
+            # deletions of already-absent edges are tolerated silently
+            # (counted per requested pair, not per matched edge)
+            skipped += int(np.count_nonzero(~present))
+            dropped.append(want[present])
 
         newly_dead: Tuple[int, ...] = ()
         if delta.remove_vertices:
             rv = np.unique(np.asarray(delta.remove_vertices, dtype=np.int64))
-            valid = (rv >= 0) & (rv < old_n) & ~self._dead[rv]
+            valid = (rv >= 0) & (rv < old_n)
+            valid[valid] = ~self._dead[rv[valid]]
             skipped += int(np.count_nonzero(~valid))
             rv = rv[valid]
             if rv.size:
                 dead = self._dead.copy()
                 dead[rv] = True
-                incident = dead[src] | dead[dst]
-                deleted += int(np.count_nonzero(incident & keep))
-                keep &= ~incident
                 self._dead = dead
-                newly_dead = tuple(int(v) for v in rv)
+                newly_dead = tuple(rv.tolist())
+                # out-edges by indptr range, in-edges through reverse rows
+                indptr, rindptr = self._indptr, self._rindptr
+                dropped.append(keys[_range_positions(indptr[rv], indptr[rv + 1])])
+                dropped.append(
+                    _swap(rkeys[_range_positions(rindptr[rv], rindptr[rv + 1])])
+                )
 
-        if not keep.all():
-            src, dst, w = src[keep], dst[keep], w[keep]
+        drop = np.unique(np.concatenate(dropped)) if dropped else _NO_KEYS
+        lo, hi = _key_ranges(keys, drop)
+        rlo, rhi = _key_ranges(rkeys, np.sort(_swap(drop)))
+        deleted = int((hi - lo).sum())
 
-        # --- vertex additions: assign ids, extend coords/tags/dead mask
-        first_new: Optional[int] = None
-        added = 0
-        pending_edges: List[Tuple[int, int, float]] = list(delta.insert_edges)
-        if delta.new_vertices:
-            first_new = old_n
-            added = len(delta.new_vertices)
-            has_coords = self._coords is not None
-            new_coords = np.zeros((added, 2), dtype=np.float64)
-            new_tags = np.zeros(added, dtype=bool)
-            for i, spec in enumerate(delta.new_vertices):
-                vid = old_n + i
-                if has_coords:
-                    new_coords[i, 0] = spec.x if spec.x is not None else 0.0
-                    new_coords[i, 1] = spec.y if spec.y is not None else 0.0
-                new_tags[i] = spec.tag
-                for neighbor, weight in spec.edges:
-                    pending_edges.append((vid, int(neighbor), float(weight)))
-                    if spec.bidirectional:
-                        pending_edges.append((int(neighbor), vid, float(weight)))
-            if has_coords:
-                self._coords = np.vstack([self._coords, new_coords])
-            if self._tags is not None:
-                self._tags = np.concatenate([self._tags, new_tags])
-            elif new_tags.any():
-                tags = np.zeros(old_n + added, dtype=bool)
-                tags[old_n:] = new_tags
-                self._tags = tags
-            self._dead = np.concatenate([self._dead, np.zeros(added, dtype=bool)])
-
-        n = old_n + added
+        first_new, pending_edges = self._append_vertices(delta, old_n)
+        n = old_n + len(delta.new_vertices)
 
         # --- insertions (tolerant of dead / out-of-range endpoints)
-        inserted = 0
-        if pending_edges:
-            iu, iv, iw = _edge_triples(pending_edges)
-            valid = _endpoints_alive(iu, iv, n, self._dead)
-            skipped += int(np.count_nonzero(~valid))
-            iu, iv, iw = iu[valid], iv[valid], iw[valid]
-            inserted = int(iu.size)
-            if inserted:
-                src = np.concatenate([src, iu])
-                dst = np.concatenate([dst, iv])
-                w = np.concatenate([w, iw])
+        iu, iv, iw = _edge_triples(pending_edges)
+        valid = _endpoints_alive(iu, iv, n, self._dead)
+        skipped += int(np.count_nonzero(~valid))
+        iu, iv, iw = iu[valid], iv[valid], iw[valid]
+        inserted = int(iu.size)
 
-        # --- CSR rebuild through the shared canonical construction, so the
-        # result is array-for-array identical to fresh construction
-        self._indptr, self._indices, self._weights = csr_arrays_from_edges(
-            src, dst, w, n
+        self._indptr, self._keys, self._indices, self._weights = _splice(
+            self._indptr, keys, self._indices, weights, lo, hi, iu, iv, iw, n
+        )
+        self._rindptr, self._rkeys, self._rindices, self._rweights = _splice(
+            self._rindptr, rkeys, self._rindices, rweights, rlo, rhi, iv, iu, iw, n
         )
         self._invalidate_csr()
-        self._rindptr, self._rindices, self._rweights = self._build_reverse()
 
         result = DeltaResult(
             first_new_vertex=first_new,
-            added_vertices=added,
+            added_vertices=n - old_n,
             removed_vertices=newly_dead,
             inserted_edges=inserted,
             deleted_edges=deleted,
@@ -413,6 +387,41 @@ class MutableDiGraph(DiGraph):
         if result:
             self.churn_epochs += 1
         return result
+
+    def _append_vertices(
+        self, delta: GraphDelta, old_n: int
+    ) -> Tuple[Optional[int], List[Tuple[int, int, float]]]:
+        """Assign ids to ``delta.new_vertices`` and extend coords, tags and
+        the dead mask.  Returns the first new id (``None`` when none) and
+        every edge to insert: ``delta.insert_edges``, then each new
+        vertex's edges in spec order."""
+        pending_edges: List[Tuple[int, int, float]] = list(delta.insert_edges)
+        if not delta.new_vertices:
+            return None, pending_edges
+        added = len(delta.new_vertices)
+        has_coords = self._coords is not None
+        new_coords = np.zeros((added, 2), dtype=np.float64)
+        new_tags = np.zeros(added, dtype=bool)
+        for i, spec in enumerate(delta.new_vertices):
+            vid = old_n + i
+            if has_coords:
+                new_coords[i, 0] = spec.x if spec.x is not None else 0.0
+                new_coords[i, 1] = spec.y if spec.y is not None else 0.0
+            new_tags[i] = spec.tag
+            for neighbor, weight in spec.edges:
+                pending_edges.append((vid, int(neighbor), float(weight)))
+                if spec.bidirectional:
+                    pending_edges.append((int(neighbor), vid, float(weight)))
+        if has_coords:
+            self._coords = np.vstack([self._coords, new_coords])
+        if self._tags is not None:
+            self._tags = np.concatenate([self._tags, new_tags])
+        elif new_tags.any():
+            tags = np.zeros(old_n + added, dtype=bool)
+            tags[old_n:] = new_tags
+            self._tags = tags
+        self._dead = np.concatenate([self._dead, np.zeros(added, dtype=bool)])
+        return old_n, pending_edges
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -443,12 +452,128 @@ def _endpoints_alive(
     return alive
 
 
+#: a CSR entry's sort key packs ``(row, col)`` into one int64: vertex ids
+#: stay below ``2**31``, so keys order exactly as the pairs do
+_KEY_SHIFT = 32
+_COL_MASK = (1 << _KEY_SHIFT) - 1
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+def _reject_negative_weights(delta: GraphDelta) -> None:
+    """Negative weights violate the graph invariant everywhere else
+    (constructor, builder, the buffering mutation methods): a delta
+    carrying one is a programming error, not a change-feed conflict, so
+    it is rejected before any state is touched."""
+    negative = (
+        any(wt < 0 for _u, _v, wt in delta.update_weights)
+        or any(wt < 0 for _u, _v, wt in delta.insert_edges)
+        or any(wt < 0 for spec in delta.new_vertices for _n, wt in spec.edges)
+    )
+    if negative:
+        raise GraphError("negative edge weights are not supported")
+
+
+def _encode(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return (rows << _KEY_SHIFT) | cols
+
+
+def _swap(keys: np.ndarray) -> np.ndarray:
+    """``(row, col)`` keys as ``(col, row)`` keys (forward <-> reverse)."""
+    return _encode(keys & _COL_MASK, keys >> _KEY_SHIFT)
+
+
+def _row_keys(indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The key of every CSR entry, ascending for a canonical CSR."""
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    return _encode(rows, cols)
+
+
+def _key_ranges(keys: np.ndarray, want: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``[lo, hi)`` position range of each wanted key in sorted ``keys``."""
+    return (
+        np.searchsorted(keys, want, side="left"),
+        np.searchsorted(keys, want, side="right"),
+    )
+
+
+def _range_positions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The positions of the ranges ``[lo[i], hi[i])``, concatenated."""
+    lengths = hi - lo
+    starts = np.cumsum(lengths) - lengths
+    return np.repeat(lo - starts, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
+def _set_ranges(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, new: np.ndarray
+) -> np.ndarray:
+    """A copy of ``values`` with each disjoint range ``[lo[i], hi[i])``
+    set to ``new[i]``."""
+    out = values.copy()
+    out[_range_positions(lo, hi)] = np.repeat(new, hi - lo)
+    return out
+
+
+def _splice(
+    indptr: np.ndarray,
+    keys: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    ins_rows: np.ndarray,
+    ins_cols: np.ndarray,
+    ins_values: np.ndarray,
+    n: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """New ``(indptr, keys, cols, values)`` of a key-sorted CSR over ``n`` rows.
+
+    The disjoint ascending ranges ``[lo[i], hi[i])`` are removed.  Each
+    insert goes after every old entry with a key up to its own, so inserts
+    with equal keys follow the kept entries and one another in the order
+    given: the tie order of a stable sort of the whole edge list.  Only the
+    kept runs between cut points are copied, each with one slice.
+    """
+    ins_keys = _encode(ins_rows, ins_cols)
+    order = np.argsort(ins_keys, kind="stable")
+    ins_keys, ins_cols = ins_keys[order], ins_cols[order]
+    ins_values = ins_values[order]
+    at = np.searchsorted(keys, ins_keys, side="right")
+    # cut points in old positions: an insert stops the current run at
+    # ``at`` and resumes it there; a removed range stops it at ``lo`` and
+    # resumes at ``hi``.  At one position an insert comes before a removed
+    # range starting there (an insert never falls strictly inside one).
+    stops = np.concatenate([at, lo])
+    resumes = np.concatenate([at, hi]).tolist()
+    plan: List[Tuple[bool, int, Optional[int]]] = []
+    start = 0
+    for i in np.lexsort((np.repeat([0, 1], [at.size, lo.size]), stops)).tolist():
+        plan.append((False, start, int(stops[i])))
+        if i < at.size:
+            plan.append((True, i, i + 1))
+        start = resumes[i]
+    plan.append((False, start, None))
+
+    def cut(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        return np.concatenate([(new if ins else old)[a:b] for ins, a, b in plan])
+
+    counts = np.bincount(ins_keys >> _KEY_SHIFT, minlength=n)
+    counts -= np.bincount(keys[_range_positions(lo, hi)] >> _KEY_SHIFT, minlength=n)
+    new_indptr = np.empty(n + 1, dtype=np.int64)
+    new_indptr[: indptr.size] = indptr
+    new_indptr[indptr.size :] = indptr[-1]
+    new_indptr[1:] += np.cumsum(counts)
+    return new_indptr, cut(keys, ins_keys), cut(cols, ins_cols), cut(values, ins_values)
+
+
 def fresh_rebuild(graph: DiGraph) -> DiGraph:
     """An immutable :class:`DiGraph` built fresh from ``graph``'s edge list.
 
     Uses the same array pipeline as :class:`~repro.graph.builder.GraphBuilder`
-    (lexsort by ``(src, dst)``); the churn-equivalence tests assert a
-    flushed :class:`MutableDiGraph` matches this array-for-array.
+    (lexsort by ``(src, dst)``); the churn-equivalence tests and the
+    sanitizer's ``csr-canonical`` check hold a flushed
+    :class:`MutableDiGraph` to this pipeline array-for-array.
     """
     src, dst, w = graph.edge_array()
     n = graph.num_vertices

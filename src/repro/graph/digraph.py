@@ -11,7 +11,7 @@ reverse traversals and some analytics) are materialised.  The graph is
 immutable after construction; bulk construction happens through
 :class:`repro.graph.builder.GraphBuilder`, and streaming topology mutation
 through the :class:`repro.graph.delta.MutableDiGraph` subclass (batched
-deltas with periodic CSR rebuilds).
+deltas, each flush splicing the sorted CSR arrays).
 
 Vertices are dense integer ids ``0 .. n-1``.  Optional per-vertex attributes
 used by the reproduction:
@@ -32,7 +32,26 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["DiGraph", "CSRView"]
+__all__ = ["DiGraph", "CSRView", "reverse_csr_arrays"]
+
+
+def reverse_csr_arrays(
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-adjacency (reverse CSR) of an out-adjacency CSR.
+
+    Each vertex's in-edges are ordered by their forward position (a stable
+    argsort of the targets), so sources ascend and parallel edges keep
+    their forward order.
+    """
+    n = indptr.size - 1
+    rindptr = np.zeros(n + 1, dtype=np.int64)
+    if indices.size == 0:
+        return rindptr, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    rindptr[1:] = np.cumsum(np.bincount(indices, minlength=n))
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    order = np.argsort(indices, kind="stable")
+    return rindptr, sources[order], weights[order]
 
 
 class CSRView(NamedTuple):
@@ -135,23 +154,9 @@ class DiGraph:
 
         self._csr_view: Optional[CSRView] = None
         self._csr_in_view: Optional[CSRView] = None
-        self._rindptr, self._rindices, self._rweights = self._build_reverse()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_reverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialise the in-adjacency (reverse CSR) from the out-adjacency."""
-        n = self.num_vertices
-        m = self.num_edges
-        rindptr = np.zeros(n + 1, dtype=np.int64)
-        if m == 0:
-            return rindptr, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        counts = np.bincount(self._indices, minlength=n)
-        rindptr[1:] = np.cumsum(counts)
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-        order = np.argsort(self._indices, kind="stable")
-        return rindptr, sources[order], self._weights[order]
+        self._rindptr, self._rindices, self._rweights = reverse_csr_arrays(
+            indptr, indices, weights
+        )
 
     # ------------------------------------------------------------------
     # basic properties

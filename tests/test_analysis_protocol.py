@@ -379,6 +379,83 @@ class TestAckCompleteness:
 
 
 # ----------------------------------------------------------------------
+# writes through a local alias of runtime state
+# ----------------------------------------------------------------------
+_ALIAS_ENGINE = '''
+from typing import Dict
+
+
+class Runtime:
+    def __init__(self):
+        self.pending_remote_inbound: Dict[int, int] = {}
+        self.mailboxes: Dict[int, float] = {}
+        self.next_mailboxes: Dict[int, float] = {}
+        self.held: Dict[int, float] = {}
+
+    def deliver(self, worker, value, to_next):
+        target = self.next_mailboxes if to_next else self.mailboxes
+        target[worker] = value
+
+
+class AliasEngine:
+    def __init__(self, queue):
+        self.queue = queue
+        self.runtimes: Dict[int, Runtime] = {}
+
+    def step(self):
+        event = self.queue.pop()
+        handler = getattr(self, f"_on_{event.kind}", None)
+        if handler is not None:
+            handler(event.time, event.payload)
+
+    def _on_task_ready(self, now, payload):
+        qr = self.runtimes[payload["query"]]
+        inbound = qr.pending_remote_inbound
+        inbound[payload["dest"]] = 1
+        qr.deliver(payload["dest"], now, True)
+
+    def _on_drain(self, now, payload):
+        qr = self.runtimes[payload["query"]]
+        held = qr.held
+        del held[payload["dest"]]
+        held.pop(payload["other"])
+'''
+
+
+class TestLocalAliasWrites:
+    """A slot store, ``del`` or mutator call through a local name bound to
+    ``x.attr`` (or to ``a.p if c else a.q``) writes that attribute."""
+
+    def _analysis(self):
+        project = _project({"src/repro/engine/mini.py": _ALIAS_ENGINE})
+        return ProtocolAnalysis(project.with_roles(("src",)))
+
+    def test_alias_writes_reach_the_effect_summary(self):
+        handlers = self._analysis().effects.handlers["repro.engine.mini.AliasEngine"]
+        assert handlers["task_ready"].writes >= {
+            "Runtime.pending_remote_inbound",
+            "Runtime.next_mailboxes",
+            "Runtime.mailboxes",
+        }
+        assert "Runtime.held" in handlers["drain"].writes
+
+    def test_alias_writes_reach_the_protocol_shapes(self):
+        analysis = self._analysis()
+        ready = analysis.closure_shapes("repro.engine.mini.AliasEngine._on_task_ready")
+        assert ready["Runtime.pending_remote_inbound"] == {"enter"}
+        assert ready["Runtime.next_mailboxes"] == {"enter"}
+        assert ready["Runtime.mailboxes"] == {"enter"}
+        drain = analysis.closure_shapes("repro.engine.mini.AliasEngine._on_drain")
+        assert drain["Runtime.held"] == {"release"}
+
+    def test_repository_deliver_paths_write_both_generations(self):
+        effects = EffectAnalysis(_repo_project().with_roles(("src",)))
+        for method in ("deliver", "deliver_array"):
+            direct = effects._direct[f"repro.engine.query.QueryRuntime.{method}"]
+            assert {"QueryRuntime.mailboxes", "QueryRuntime.next_mailboxes"} <= direct.writes
+
+
+# ----------------------------------------------------------------------
 # epoch-fence
 # ----------------------------------------------------------------------
 _FENCE_ENGINE = '''

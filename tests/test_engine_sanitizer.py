@@ -239,6 +239,52 @@ class TestCsrIntegrity:
         engine.sanitizer.check_csr_integrity(1.0)  # re-baselined, no raise
 
 
+class TestCsrCanonical:
+    def _flushed_engine(self):
+        graph = MutableDiGraph.from_digraph(grid_graph(8, 8))
+        engine = _build_engine(graph, k=2)
+        engine.submit_update(
+            GraphDelta(delete_edges=[(0, 1)], insert_edges=[(5, 40, 2.0)]), 0.01
+        )
+        engine.run()
+        return engine
+
+    def test_clean_flushes_pass(self):
+        engine = self._flushed_engine()
+        engine.sanitizer.check_csr_canonical(1.0)  # does not raise
+
+    def test_corrupted_reverse_array_detected(self):
+        engine = self._flushed_engine()
+        graph = engine.graph
+        # the bug: a splice that leaves the reverse weights misaligned
+        rweights = graph._rweights.copy()
+        lo = int(graph._rindptr[1])
+        rweights[lo], rweights[lo + 1] = rweights[lo] + 1.0, rweights[lo]
+        graph._rweights = rweights
+        graph._invalidate_csr()
+        with pytest.raises(SanitizerError, match="reverse CSR weights") as err:
+            engine.sanitizer.check_csr_canonical(1.5)
+        assert err.value.invariant == "csr-canonical"
+        assert err.value.details == {"direction": "reverse", "array": "weights"}
+
+    def test_detected_on_the_flush_path(self, monkeypatch):
+        """End-to-end: a flush that drops a reverse entry fails at the flush."""
+        graph = MutableDiGraph.from_digraph(grid_graph(8, 8))
+        engine = _build_engine(graph, k=2)
+        real_flush = MutableDiGraph.flush
+
+        def torn_flush(self):
+            result = real_flush(self)
+            self._rindices = self._rindices[::-1].copy()
+            self._invalidate_csr()
+            return result
+
+        monkeypatch.setattr(MutableDiGraph, "flush", torn_flush)
+        engine.submit_update(GraphDelta(delete_edges=[(0, 1)]), 0.01)
+        with pytest.raises(SanitizerError, match="csr-canonical"):
+            engine.run()
+
+
 class TestEpochMonotonicity:
     def test_desynced_epoch_detected(self):
         engine = _build_engine(grid_graph(6, 6), k=2)

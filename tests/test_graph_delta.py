@@ -1,7 +1,11 @@
 """Tests for the streaming topology-mutation layer (GraphDelta / MutableDiGraph)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import (
@@ -14,6 +18,8 @@ from repro.graph import (
     grid_graph,
 )
 from repro.graph.road_network import generate_road_network
+
+from delta_reference import ReferenceMutableDiGraph
 
 
 def _mutable_grid(rows=4, cols=4):
@@ -185,6 +191,13 @@ class TestMutableBasics:
         assert mg.edge_weight(1, 2) == 2.0
         assert mg.has_edge(0, 2)
 
+    def test_out_of_range_removal_is_skipped(self):
+        mg = _mutable_grid()
+        res = mg.apply_delta(GraphDelta(remove_vertices=[-1, 16, 99, 5]))
+        assert res.removed_vertices == (5,)
+        assert res.skipped == 3
+        assert mg.num_live_vertices == mg.num_vertices - 1
+
     def test_auto_flush_threshold(self):
         mg = MutableDiGraph.from_digraph(grid_graph(3, 3), auto_flush_threshold=2)
         mg.delete_edge(0, 1)
@@ -286,3 +299,136 @@ class TestReverseCsrParallelEdges:
                 owts = g.out_weights(int(u))[g.out_neighbors(int(u)) == v]
                 assert np.any(np.isclose(owts, w))
         assert total_rev == g.num_edges
+
+
+# ----------------------------------------------------------------------
+# the splice against the full-rebuild oracle (tests/delta_reference.py)
+# ----------------------------------------------------------------------
+def _assert_same_graph(got, want):
+    for name in ("indptr", "indices", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name, a, b in zip(("indptr", "indices", "weights", "degree"), got.csr_in(), want.csr_in()):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"csr_in().{name}"
+    assert np.array_equal(got.dead_mask, want.dead_mask)
+    for name in ("coords", "tags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b), name
+    assert got.churn_epochs == want.churn_epochs
+
+
+def _apply_both(graph, deltas):
+    got = MutableDiGraph.from_digraph(graph)
+    want = ReferenceMutableDiGraph.from_digraph(graph)
+    for delta in deltas:
+        res_got, res_want = got.apply_delta(delta), want.apply_delta(delta)
+        assert dataclasses.asdict(res_got) == dataclasses.asdict(res_want)
+        _assert_same_graph(got, want)
+    return got
+
+
+def _multigraph(n, edges, coords=False, tags=False):
+    b = GraphBuilder(n)
+    for u, v, w in edges:
+        b.add_edge(u, v, w)
+    for v in range(n):
+        if coords:
+            b.set_coord(v, float(v), float(-v))
+        if tags and v % 2:
+            b.set_tag(v)
+    return b.build()
+
+
+#: ids run past both ends of the id space, so every mutation kind meets
+#: out-of-range ids; the narrow range makes parallel edges, repeated
+#: pairs within one flush and dead endpoints common
+_ids = st.integers(min_value=-2, max_value=11)
+_weights = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])
+_specs = st.builds(
+    NewVertexSpec,
+    x=st.one_of(st.none(), st.floats(-5, 5, allow_nan=False)),
+    y=st.one_of(st.none(), st.floats(-5, 5, allow_nan=False)),
+    tag=st.booleans(),
+    edges=st.lists(st.tuples(_ids, _weights), max_size=3).map(tuple),
+    bidirectional=st.booleans(),
+)
+_deltas = st.builds(
+    GraphDelta,
+    insert_edges=st.lists(st.tuples(_ids, _ids, _weights), max_size=6),
+    delete_edges=st.lists(st.tuples(_ids, _ids), max_size=4),
+    update_weights=st.lists(st.tuples(_ids, _ids, _weights), max_size=4),
+    new_vertices=st.lists(_specs, max_size=2),
+    remove_vertices=st.lists(_ids, max_size=2),
+)
+
+
+class TestSpliceMatchesRebuild:
+    """``flush`` splices the sorted CSRs; the oracle re-sorts every edge.
+    Both must leave the same arrays and report the same counters."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        edges=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), _weights), max_size=30
+        ),
+        coords=st.booleans(),
+        tags=st.booleans(),
+        deltas=st.lists(_deltas, min_size=1, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_delta_sequences(self, n, edges, coords, tags, deltas):
+        edges = [(u % n, v % n, w) for u, v, w in edges]
+        _apply_both(_multigraph(n, edges, coords, tags), deltas)
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            # several inserts of the same (u, v) in one flush, onto a pair
+            # that already has parallel copies
+            [GraphDelta(insert_edges=[(0, 1, 5.0), (2, 0, 1.0), (0, 1, 3.0), (0, 1, 4.0)])],
+            # delete then re-insert the same edge in one flush
+            [GraphDelta(delete_edges=[(0, 1)], insert_edges=[(0, 1, 9.0)])],
+            # last-wins updates, and an update to an edge deleted in the
+            # same flush (counted as updated, then deleted)
+            [GraphDelta(update_weights=[(0, 1, 2.0), (1, 2, 3.0), (0, 1, 6.0)],
+                        delete_edges=[(1, 2)])],
+            # removals, then inserts to the dead endpoint (skipped)
+            [GraphDelta(remove_vertices=[2]),
+             GraphDelta(insert_edges=[(2, 0, 1.0), (0, 2, 1.0), (0, 3, 1.0)],
+                        new_vertices=[NewVertexSpec(edges=((2, 1.0), (3, 1.0)))])],
+            # out-of-range ids in every mutation kind
+            [GraphDelta(insert_edges=[(-1, 0, 1.0), (0, 9, 1.0)],
+                        delete_edges=[(9, 0), (0, -3)],
+                        update_weights=[(0, 40, 1.0)],
+                        remove_vertices=[-1, 4, 40])],
+            # new vertices with and without bidirectional edges, one wired
+            # to the other in the same flush, and one removal in the same flush
+            [GraphDelta(new_vertices=[NewVertexSpec(x=1.0, edges=((0, 1.0),)),
+                                      NewVertexSpec(tag=True, edges=((4, 2.0), (1, 1.0)),
+                                                    bidirectional=False)],
+                        remove_vertices=[3])],
+            # a self-loop on a removed vertex
+            [GraphDelta(insert_edges=[(3, 3, 1.0)]), GraphDelta(remove_vertices=[3])],
+        ],
+    )
+    def test_named_cases(self, deltas):
+        edges = [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0), (2, 0, 4.0), (2, 3, 1.0),
+                 (3, 0, 1.0), (1, 0, 1.0)]
+        _apply_both(_multigraph(4, edges, coords=True), deltas)
+
+    def test_views_taken_before_a_flush_keep_the_old_topology(self):
+        mg = MutableDiGraph.from_digraph(_multigraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]))
+        views = (mg.csr(), mg.csr_in())
+        before = [tuple(arr.copy() for arr in view) for view in views]
+        mg.apply_delta(GraphDelta(
+            update_weights=[(1, 2, 5.0)], delete_edges=[(0, 1)],
+            insert_edges=[(3, 0, 1.0)], remove_vertices=[2],
+            new_vertices=[NewVertexSpec(edges=((0, 1.0),))],
+        ))
+        for view, saved in zip(views, before):
+            for arr, old in zip(view, saved):
+                assert np.array_equal(arr, old)
+        assert mg.csr().weights is not views[0].weights
+        assert mg.csr_in().weights is not views[1].weights
